@@ -1,10 +1,13 @@
 """Command-line orchestration of the embedding pipeline.
 
-Every subcommand can take its parameters from flags, from a `key = value`
-config file (flags win), or both, and writes a manifest next to its primary
-output recording the fully resolved parameters. Feeding a manifest back in
-as ``--config`` reproduces the run. All randomness flows from the single
-``seed`` value through named sub-seeds.
+Each subcommand declares its parameters once, as `Param` rows in its
+`@command` table. The table drives everything else: the argparse flags,
+the layered lookup (flag, then a `key = value` config file, then the
+default), the coercion of config strings, the usage errors (exit 2) for a
+missing value or one outside its choices, and the manifest written next to
+the primary output. Feeding a manifest back in as ``--config`` reproduces
+the run. All randomness flows from the single ``seed`` value through named
+sub-seeds.
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -22,16 +27,100 @@ from . import lexicon as lexicon_mod
 from . import pairgen, sgns
 from .seeds import derive_seed, derived_rng
 
-SWEEP_PRESETS = {"standard": augment.RATIO_SWEEP}
+
+class UsageError(Exception):
+    """A parameter is missing, malformed or inconsistent (exit status 2)."""
+
+
+def boolean(raw: str) -> bool:
+    """Config-file spelling of a boolean; on the command line `--x/--no-x`."""
+    if raw.lower() in ("1", "true", "yes", "on"):
+        return True
+    if raw.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"cannot interpret {raw!r} as a boolean")
+
+
+def file_list(raw: str) -> list[str]:
+    """Config-file spelling of the positional file list: space-separated."""
+    return raw.split()
+
+
+REQUIRED = object()  # default of a parameter the run cannot do without
+
+
+@dataclass(frozen=True)
+class Param:
+    """One parameter: config and manifest key `name`, flag `--name-with-dashes`.
+
+    ``type`` turns a config string into the value; a ``file_list`` parameter is
+    the positional argument list. A default of None means unset, and unset
+    parameters are left out of the manifest.
+    """
+
+    name: str
+    type: Callable[[str], Any] = str
+    default: Any = None
+    help: str = ""
+    choices: tuple = ()
+    alias: str | None = None
+
+    def resolve(self, flag_value, config: dict[str, str]):
+        """Flag, then config, then default."""
+        value = None if flag_value == [] else flag_value  # empty nargs="*" is absent
+        if value is None and self.name in config:
+            try:
+                value = self.type(config[self.name])
+            except ValueError as exc:
+                raise UsageError(f"config value {self.name} = {config[self.name]!r}: {exc}")
+        if value is None:
+            value = self.default
+        if value is REQUIRED:
+            raise _missing(self.name)
+        if self.choices and value not in self.choices:
+            raise UsageError(f"{self.name} must be one of {', '.join(self.choices)}, "
+                             f"got {value!r}")
+        return value
+
+
+def _missing(name: str) -> UsageError:
+    return UsageError(f"missing required parameter '{name}' (flag or config)")
+
+
+def _require(p: argparse.Namespace, *names: str) -> None:
+    """Usage error unless each named parameter is set; for the parameters
+    whose need depends on the value of another."""
+    for name in names:
+        if getattr(p, name) is None:
+            raise _missing(name)
+
+
+@dataclass(frozen=True)
+class Command:
+    run: Callable[[argparse.Namespace], Any]  # returns the manifest's anchor path
+    help: str
+    params: tuple[Param, ...]
+
+
+COMMANDS: dict[str, Command] = {}
+
+
+def command(name: str, help: str, *params: Param):
+    """Register a subcommand under `name` with its parameter table."""
+    def register(run):
+        COMMANDS[name] = Command(run, help, params)
+        return run
+    return register
 
 
 def read_config(path: str | Path) -> dict[str, str]:
-    """Parse `key = value` lines; `#` starts a comment."""
+    """Parse `key = value` lines. A line whose first non-blank character is
+    `#` is a comment; a `#` anywhere else belongs to the value."""
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
+            line = line.strip()
+            if not line or line.startswith("#"):
                 continue
             key, sep, value = line.partition("=")
             if not sep or not key.strip():
@@ -54,43 +143,6 @@ def write_manifest(out_path: str | Path, command: str, params: dict) -> Path:
     return manifest
 
 
-class _Resolver:
-    """Layered parameter lookup: CLI flag, then config file, then default."""
-
-    def __init__(self, parser: argparse.ArgumentParser, args: argparse.Namespace):
-        self.parser = parser
-        self.args = args
-        self.config = read_config(args.config) if args.config else {}
-        self.resolved: dict = {}
-
-    def get(self, key, type=str, default=None, required=False):
-        value = getattr(self.args, key, None)
-        if value == []:  # empty nargs="*" counts as absent
-            value = None
-        if value is None:
-            raw = self.config.get(key)
-            if raw is not None:
-                value = _coerce(raw, type)
-        if value is None:
-            value = default
-        if value is None and required:
-            self.parser.error(f"missing required parameter '{key}' (flag or config)")
-        self.resolved[key] = value
-        return value
-
-
-def _coerce(raw: str, type):
-    if type is bool:
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"cannot interpret {raw!r} as a boolean")
-    if type is list:
-        return raw.split()
-    return type(raw)
-
-
 def _pseudo_vocab(words: list[str]) -> corpus.Vocabulary:
     """Positional vocabulary for a bare embedding file (unit counts)."""
     return corpus.Vocabulary(words=words, counts=np.ones(len(words), dtype=np.int64),
@@ -106,222 +158,237 @@ def _load_model(path: str, binary: bool = False):
 
 # --- subcommands ---------------------------------------------------------------
 
+INPUTS = Param("inputs", file_list, REQUIRED, "input files")
+CORPUS = Param("corpus", str, REQUIRED, "tokenized corpus file")
+VOCAB = Param("vocab", str, REQUIRED, "vocabulary file")
+PAIRS = Param("pairs", str, REQUIRED, "pair file")
+MODEL = Param("model", str, REQUIRED, "embedding file (text format)")
+SEED = Param("seed", int, 0, "master seed; every random stream derives from it")
+OUT = Param("out", str, REQUIRED, "output file; the manifest goes to <out>.manifest")
 
-def cmd_tokenize(res: _Resolver) -> None:
-    inputs = res.get("inputs", type=list, required=True)
-    out = res.get("out", required=True)
-    text = corpus.read_text_files(inputs)
-    sentences = corpus.tokenize(text)
-    corpus.write_tokens(out, sentences)
-    write_manifest(out, "tokenize", res.resolved)
+
+@command("tokenize", "split raw text into sentences of word tokens", INPUTS, OUT)
+def cmd_tokenize(p) -> str:
+    sentences = corpus.tokenize(corpus.read_text_files(p.inputs))
+    corpus.write_tokens(p.out, sentences)
     print(f"tokenize: {len(sentences)} sentences, "
-          f"{sum(len(s) for s in sentences)} tokens -> {out}")
+          f"{sum(len(s) for s in sentences)} tokens -> {p.out}")
+    return p.out
 
 
-def cmd_build_vocab(res: _Resolver) -> None:
-    tokens_path = res.get("corpus", required=True)
-    min_count = res.get("min_count", type=int, default=1)
-    out = res.get("out", required=True)
-    sentences = corpus.read_tokens(tokens_path)
-    vocab = corpus.build_vocabulary(sentences, min_count=min_count)
-    corpus.write_vocab(out, vocab)
-    write_manifest(out, "build-vocab", res.resolved)
-    print(f"build-vocab: {len(vocab)} words at min_count={min_count} -> {out}")
+@command("build-vocab", "build a frequency-pruned vocabulary",
+         CORPUS, Param("min_count", int, 1, "drop words seen fewer times"), OUT)
+def cmd_build_vocab(p) -> str:
+    vocab = corpus.build_vocabulary(corpus.read_tokens(p.corpus), min_count=p.min_count)
+    corpus.write_vocab(p.out, vocab)
+    print(f"build-vocab: {len(vocab)} words at min_count={p.min_count} -> {p.out}")
+    return p.out
 
 
-def cmd_gen_pairs(res: _Resolver) -> None:
-    tokens_path = res.get("corpus", required=True)
-    vocab_path = res.get("vocab", required=True)
-    context_size = res.get("context_size", type=int, default=5)
-    seed = res.get("seed", type=int, default=0)
-    out = res.get("out", required=True)
-    vocab = corpus.read_vocab(vocab_path)
-    encoded = corpus.encode(corpus.read_tokens(tokens_path), vocab)
-    pairs = pairgen.generate_pairs(encoded, context_size, derive_seed(seed, "pairgen"))
-    pairgen.write_pairs(out, pairs, meta={"C": context_size, "seed": seed})
-    write_manifest(out, "gen-pairs", res.resolved)
-    print(f"gen-pairs: {len(pairs)} natural pairs (C={context_size}) -> {out}")
+@command("gen-pairs", "generate positional-sampled skip-gram pairs",
+         CORPUS, VOCAB, Param("context_size", int, 5, "maximum context offset C", alias="-C"),
+         SEED, OUT)
+def cmd_gen_pairs(p) -> str:
+    vocab = corpus.read_vocab(p.vocab)
+    encoded = corpus.encode(corpus.read_tokens(p.corpus), vocab)
+    pairs = pairgen.generate_pairs(encoded, p.context_size, derive_seed(p.seed, "pairgen"))
+    pairgen.write_pairs(p.out, pairs, meta={"C": p.context_size, "seed": p.seed})
+    print(f"gen-pairs: {len(pairs)} natural pairs (C={p.context_size}) -> {p.out}")
+    return p.out
 
 
-def cmd_augment(res: _Resolver) -> None:
-    pairs_path = res.get("pairs", required=True)
-    vocab_path = res.get("vocab", required=True)
-    lexicon_path = res.get("lexicon", required=True)
-    seed = res.get("seed", type=int, default=0)
-    sweep = res.get("ratio_sweep")
-    if sweep is None:
-        ratios = [res.get("ratio", type=float, required=True)]
-        outs = [res.get("out", required=True)]
-        manifest_anchor = outs[0]
+@command("augment", "mix synonym-augmented pairs into the dataset",
+         PAIRS, VOCAB, Param("lexicon", str, REQUIRED, "synonym lexicon (#synlex v1)"),
+         Param("ratio", float, None, "augmented fraction of the mix; writes --out"),
+         Param("ratio_sweep", str, None,
+               "'standard' or comma-separated ratios; writes to --out-dir"),
+         Param("out_dir", str, None, "directory of the --ratio-sweep pair files"),
+         SEED, Param("out", str, None, "mixed pair file of --ratio"))
+def cmd_augment(p) -> Path | str:
+    if p.ratio_sweep is None:
+        _require(p, "ratio", "out")
+        ratios, outs, anchor = [p.ratio], [p.out], p.out
     else:
-        ratios = list(SWEEP_PRESETS.get(sweep) or
-                      [float(r) for r in sweep.split(",")])
-        out_dir = Path(res.get("out_dir", required=True))
-        out_dir.mkdir(parents=True, exist_ok=True)
-        res.resolved["ratios"] = ratios
+        _require(p, "out_dir")
+        ratios = (augment.RATIO_SWEEP if p.ratio_sweep == "standard"
+                  else [float(r) for r in p.ratio_sweep.split(",")])
+        out_dir = Path(p.out_dir)
         outs = [out_dir / f"pairs_r{r:g}.txt" for r in ratios]
-        manifest_anchor = out_dir / "augment"
+        anchor = out_dir / "augment"
+    plans = [augment.AugmentationPlan(ratio=r, seed=derive_seed(p.seed, "augment.mix"))
+             for r in ratios]
 
-    vocab = corpus.read_vocab(vocab_path)
-    lex = lexicon_mod.load_lexicon(lexicon_path)
-    natural, meta = pairgen.read_pairs(pairs_path)
+    vocab = corpus.read_vocab(p.vocab)
+    lex = lexicon_mod.load_lexicon(p.lexicon)
+    natural, meta = pairgen.read_pairs(p.pairs)
     if natural.n_augmented:
         natural = natural.by_origin(pairgen.ORIGIN_NATURAL)
     pool, substitutions = augment.generate_augmented_pairs(
-        natural, lex, vocab, derived_rng(seed, "augment.synonyms")
+        natural, lex, vocab, derived_rng(p.seed, "augment.synonyms")
     )
-    for ratio, out in zip(ratios, outs):
-        plan = augment.AugmentationPlan(ratio=ratio, seed=derive_seed(seed, "augment.mix"))
+    # Refuse the whole sweep before writing any of it.
+    unreachable = [r for r in ratios if augment.augmented_count(len(natural), r) > len(pool)]
+    if unreachable:
+        raise ValueError(
+            f"ratio {', '.join(f'{r:g}' for r in unreachable)} out of reach: "
+            f"{len(pool)} augmented pairs available, maximum achievable ratio is "
+            f"{augment.max_ratio(len(natural), len(pool)):.4f}"
+        )
+    if p.ratio_sweep is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    for plan, out in zip(plans, outs):
         mixed = augment.mix(natural, pool, plan)
         pairgen.write_pairs(out, mixed, meta={"C": meta.get("C", "?"),
-                                              "seed": seed, "ratio": ratio})
+                                              "seed": p.seed, "ratio": plan.ratio})
         augment.write_substitutions(str(out) + ".subs", substitutions,
-                                    meta={"seed": seed})
-        print(f"augment: ratio={ratio:g} -> {len(mixed)} pairs "
+                                    meta={"seed": p.seed})
+        print(f"augment: ratio={plan.ratio:g} -> {len(mixed)} pairs "
               f"({mixed.n_augmented} augmented) -> {out}")
-    write_manifest(manifest_anchor, "augment", res.resolved)
+    return anchor
 
 
-def cmd_train(res: _Resolver) -> None:
-    pairs_path = res.get("pairs", required=True)
-    vocab_path = res.get("vocab", required=True)
-    out = res.get("out", required=True)
+@command("train", "train skip-gram embeddings with negative sampling",
+         PAIRS, VOCAB,
+         Param("dim", int, 300, "embedding dimension"),
+         Param("negatives", int, 5, "noise words drawn per pair"),
+         Param("epochs", int, 10, "passes over the pairs"),
+         Param("lr", float, 0.01, "SGD learning rate"),
+         Param("batch", int, 10, "pairs per gradient step"),
+         SEED,
+         Param("init", str, sgns.INIT_RANDOM, "initial input vectors",
+               choices=(sgns.INIT_RANDOM, sgns.INIT_PRETRAINED)),
+         Param("pretrained_file", str, None, "vectors read by --init pretrained"),
+         Param("binary", boolean, False, "--pretrained-file is word2vec binary"),
+         Param("noise_exponent", float, 0.75, "power of the counts in the noise distribution"),
+         Param("loss_csv", str, None, "per-epoch mean loss file, <out>.loss.csv if unset"),
+         Param("checkpoint_every", int, 0, "write <out>.epochN snapshots every N epochs"),
+         OUT)
+def cmd_train(p) -> str:
+    if p.init == sgns.INIT_PRETRAINED:
+        _require(p, "pretrained_file")
     config = sgns.TrainConfig(
-        dim=res.get("dim", type=int, default=300),
-        negatives=res.get("negatives", type=int, default=5),
-        epochs=res.get("epochs", type=int, default=10),
-        learning_rate=res.get("lr", type=float, default=0.01),
-        batch_size=res.get("batch", type=int, default=10),
-        seed=derive_seed(res.get("seed", type=int, default=0), "sgns"),
-        init_mode=res.get("init", default=sgns.INIT_RANDOM),
-        noise_exponent=res.get("noise_exponent", type=float, default=0.75),
+        dim=p.dim, negatives=p.negatives, epochs=p.epochs, learning_rate=p.lr,
+        batch_size=p.batch, seed=derive_seed(p.seed, "sgns"), init_mode=p.init,
+        noise_exponent=p.noise_exponent,
     )
-    loss_csv = res.get("loss_csv", default=str(out) + ".loss.csv")
-    checkpoint_every = res.get("checkpoint_every", type=int, default=0)
-    vocab = corpus.read_vocab(vocab_path)
-    dataset, _meta = pairgen.read_pairs(pairs_path)
+    vocab = corpus.read_vocab(p.vocab)
+    dataset, _meta = pairgen.read_pairs(p.pairs)
     initial = None
     if config.init_mode == sgns.INIT_PRETRAINED:
-        pretrained = res.get("pretrained_file", required=True)
-        binary = res.get("binary", type=bool, default=False)
         initial, coverage = sgns.init_pretrained(
-            vocab, pretrained, config.dim,
-            derive_seed(config.seed, "sgns.init"), binary=binary,
+            vocab, p.pretrained_file, config.dim,
+            derive_seed(config.seed, "sgns.init"), binary=p.binary,
         )
         print(f"train: pretrained coverage {coverage:.1%}")
 
     def checkpoint(epoch, model, mean_loss):
-        if checkpoint_every and (epoch + 1) % checkpoint_every == 0:
-            embed_io.write_text(f"{out}.epoch{epoch + 1}", vocab.words, model.input)
+        if p.checkpoint_every and (epoch + 1) % p.checkpoint_every == 0:
+            embed_io.write_text(f"{p.out}.epoch{epoch + 1}", vocab.words, model.input)
 
     model, losses = sgns.train(dataset, vocab, config, initial=initial,
                                on_epoch=checkpoint)
-    embed_io.write_text(out, vocab.words, model.input)
-    with open(loss_csv, "w", encoding="utf-8") as f:
+    embed_io.write_text(p.out, vocab.words, model.input)
+    with open(p.loss_csv or f"{p.out}.loss.csv", "w", encoding="utf-8") as f:
         f.write("epoch,mean_loss\n")
         for epoch, loss in enumerate(losses):
             f.write(f"{epoch},{loss!r}\n")
-    write_manifest(out, "train", res.resolved)
     print(f"train: {config.epochs} epochs over {len(dataset)} pairs, "
-          f"final mean loss {losses[-1]:.6f} -> {out}")
+          f"final mean loss {losses[-1]:.6f} -> {p.out}")
+    return p.out
 
 
-def cmd_eval_sim(res: _Resolver) -> None:
-    model_path = res.get("model", required=True)
-    dataset_path = res.get("dataset", required=True)
-    fmt = res.get("dataset_format", default="wordsim")
-    name = res.get("name", default=Path(dataset_path).stem)
-    metric = res.get("metric", default="cosine")
-    common_path = res.get("common_vocab")
-    out = res.get("out", required=True)
-    model, vocab = _load_model(model_path)
-    if fmt == "simlex":
-        dataset = eval_intrinsic.load_simlex(dataset_path, name=name)
-    elif fmt == "wordsim":
-        dataset = eval_intrinsic.load_wordsim(dataset_path, name=name)
-    else:
-        raise ValueError(f"unknown dataset format {fmt!r}")
-    common = corpus.read_vocab(common_path) if common_path else None
+@command("eval-sim", "similarity-distance rank correlation",
+         MODEL, Param("dataset", str, REQUIRED, "word-pair similarity file"),
+         Param("dataset_format", str, "wordsim", "layout of --dataset",
+               choices=("simlex", "wordsim")),
+         Param("name", str, None, "dataset name in the output, the file stem if unset"),
+         Param("metric", str, "cosine", "vector distance", choices=("cosine", "euclidean")),
+         Param("common_vocab", str, None, "vocabulary that every scored word must be in"),
+         OUT)
+def cmd_eval_sim(p) -> str:
+    model, vocab = _load_model(p.model)
+    load = (eval_intrinsic.load_simlex if p.dataset_format == "simlex"
+            else eval_intrinsic.load_wordsim)
+    dataset = load(p.dataset, name=p.name or Path(p.dataset).stem)
+    common = corpus.read_vocab(p.common_vocab) if p.common_vocab else None
     rho, used = eval_intrinsic.similarity_correlation(
-        model, vocab, dataset, common_vocab=common, metric=metric
+        model, vocab, dataset, common_vocab=common, metric=p.metric
     )
-    with open(out, "w", encoding="utf-8") as f:
+    with open(p.out, "w", encoding="utf-8") as f:
         f.write("dataset,pairs_used,rho\n")
         f.write(f"{dataset.name},{used},{rho!r}\n")
-    write_manifest(out, "eval-sim", res.resolved)
-    print(f"eval-sim: {dataset.name} rho={rho:.4f} over {used} pairs -> {out}")
+    print(f"eval-sim: {dataset.name} rho={rho:.4f} over {used} pairs -> {p.out}")
+    return p.out
 
 
-def cmd_eval_pairsets(res: _Resolver) -> None:
-    model_path = res.get("model", required=True)
-    pairs_path = res.get("pairs", required=True)
-    subs_path = res.get("subs", required=True)
-    vocab_path = res.get("vocab", required=True)
-    size_spec = res.get("size", default="1000")
-    size = (tuple(int(s) for s in size_spec.split(","))
-            if "," in size_spec else int(size_spec))
-    seed = res.get("seed", type=int, default=0)
-    out = res.get("out", required=True)
-    model, _ = _load_model(model_path)
-    vocab = corpus.read_vocab(vocab_path)
-    dataset, _meta = pairgen.read_pairs(pairs_path)
+@command("eval-pairsets", "distance stats over synonym/contextual/random pairs",
+         MODEL, PAIRS, Param("subs", str, REQUIRED, "substitution records from augment"),
+         VOCAB, Param("size", str, "1000", "pairs per set: one value or syn,ctx,rand"),
+         SEED, OUT)
+def cmd_eval_pairsets(p) -> str:
+    size = (tuple(int(s) for s in p.size.split(",")) if "," in p.size else int(p.size))
+    model, model_vocab = _load_model(p.model)
+    vocab = corpus.read_vocab(p.vocab)
+    if model_vocab.words != vocab.words:
+        row = next((i for i, (a, b) in enumerate(zip(model_vocab.words, vocab.words))
+                    if a != b), min(len(model_vocab), len(vocab)))
+        raise ValueError(f"model rows do not line up with the vocabulary: {p.model} has "
+                         f"{len(model_vocab)} words, {p.vocab} has {len(vocab)}, "
+                         f"first difference at row {row}")
+    dataset, _meta = pairgen.read_pairs(p.pairs)
     natural = dataset.by_origin(pairgen.ORIGIN_NATURAL)
-    substitutions = augment.read_substitutions(subs_path)
+    substitutions = augment.read_substitutions(p.subs)
     sets = eval_intrinsic.build_pairsets(
-        substitutions, natural, vocab, size, derived_rng(seed, "pairsets")
+        substitutions, natural, vocab, size, derived_rng(p.seed, "pairsets")
     )
-    with open(out, "w", encoding="utf-8") as f:
+    with open(p.out, "w", encoding="utf-8") as f:
         f.write("set,pairs,mean,std\n")
         for pairset in sets:
             mean, std = eval_intrinsic.pairset_stats(model, pairset)
             f.write(f"{pairset.kind},{len(pairset)},{mean!r},{std!r}\n")
             print(f"eval-pairsets: {pairset.kind} mean={mean:.4f} std={std:.4f}")
-    write_manifest(out, "eval-pairsets", res.resolved)
+    return p.out
 
 
-def cmd_eval_wmd(res: _Resolver) -> None:
-    model_path = res.get("model", required=True)
-    docs_root = res.get("docs", required=True)
-    split_path = res.get("split")
-    mode = res.get("mode", default="loo")
-    k = res.get("k", type=int, default=10)
-    prune = res.get("prune", type=bool, default=True)
-    threads = res.get("threads", type=int, default=1)
-    out = res.get("out", required=True)
-    if mode not in ("loo", "split"):
-        raise ValueError(f"unknown mode {mode!r}; expected 'loo' or 'split'")
-    if mode == "split" and not split_path:
-        raise ValueError("mode=split requires a split manifest")
-    model, vocab = _load_model(model_path)
-    split = eval_extrinsic.read_split_manifest(split_path) if split_path else None
-    loaded = eval_extrinsic.load_classification_corpus(docs_root, vocab, split=split)
-    if mode == "loo":
+@command("eval-wmd", "KNN document classification over Word Mover's Distance",
+         MODEL, Param("docs", str, REQUIRED, "root of <class>/<doc> text files"),
+         Param("split", str, None, "manifest of <class>/<doc>\\t<train|test> lines"),
+         Param("mode", str, "loo", "leave-one-out over all docs, or train/test split",
+               choices=("loo", "split")),
+         Param("k", int, 10, "neighbours that vote"),
+         Param("prune", boolean, True, "skip exact solves the WCD/RWMD bounds rule out"),
+         OUT)
+def cmd_eval_wmd(p) -> str:
+    if p.mode == "split":
+        _require(p, "split")
+    model, vocab = _load_model(p.model)
+    split = eval_extrinsic.read_split_manifest(p.split) if p.split else None
+    loaded = eval_extrinsic.load_classification_corpus(p.docs, vocab, split=split)
+    if p.mode == "loo":
         test_docs, train_docs, loo = loaded.train, loaded.train, True
     else:
         test_docs, train_docs, loo = loaded.test, loaded.train, False
     predictions, _ = eval_extrinsic.knn_classify(
-        model, test_docs, train_docs, k=k, prune=prune,
-        leave_one_out=loo, workers=threads,
+        model, test_docs, train_docs, k=p.k, prune=p.prune, leave_one_out=loo,
     )
-    correct = sum(p == d.label for p, d in zip(predictions, test_docs))
+    correct = sum(pred == d.label for pred, d in zip(predictions, test_docs))
     acc, half_width = eval_extrinsic.accuracy_ci(correct, len(test_docs))
-    with open(out, "w", encoding="utf-8") as f:
+    with open(p.out, "w", encoding="utf-8") as f:
         f.write("doc_id,true_label,predicted_label\n")
         for doc, pred in zip(test_docs, predictions):
             f.write(f"{doc.doc_id},{doc.label},{pred}\n")
         f.write("accuracy,half_width,n\n")
         f.write(f"{acc!r},{half_width!r},{len(test_docs)}\n")
-    write_manifest(out, "eval-wmd", res.resolved)
     print(f"eval-wmd: accuracy {acc:.4f} (+/- {half_width:.4f}) over "
-          f"{len(test_docs)} docs ({loaded.skipped} skipped) -> {out}")
+          f"{len(test_docs)} docs ({loaded.skipped} skipped) -> {p.out}")
+    return p.out
 
 
-def cmd_report(res: _Resolver) -> None:
-    inputs = res.get("inputs", type=list, required=True)
-    out = res.get("out", required=True)
-    as_json = res.get("json", type=bool, default=False)
+@command("report", "merge evaluation CSVs into one summary",
+         INPUTS, Param("json", boolean, False, "write JSON, not CSV"), OUT)
+def cmd_report(p) -> str:
     rows = []
-    for path in inputs:
+    for path in p.inputs:
         with open(path, encoding="utf-8", newline="") as f:
             header: list[str] | None = None
             for record in csv.reader(f):
@@ -331,34 +398,22 @@ def cmd_report(res: _Resolver) -> None:
                     header = record
                     continue
                 rows.append({"source": path, **dict(zip(header, record))})
-    if as_json:
-        with open(out, "w", encoding="utf-8") as f:
+    if p.json:
+        with open(p.out, "w", encoding="utf-8") as f:
             json.dump(rows, f, indent=2)
     else:
         keys = ["source"]
         for row in rows:
             keys.extend(k for k in row if k not in keys)
-        with open(out, "w", encoding="utf-8", newline="") as f:
+        with open(p.out, "w", encoding="utf-8", newline="") as f:
             writer = csv.DictWriter(f, fieldnames=keys, restval="")
             writer.writeheader()
             writer.writerows(rows)
-    write_manifest(out, "report", res.resolved)
-    print(f"report: merged {len(rows)} rows from {len(inputs)} files -> {out}")
+    print(f"report: merged {len(rows)} rows from {len(p.inputs)} files -> {p.out}")
+    return p.out
 
 
 # --- parser ---------------------------------------------------------------------
-
-_COMMANDS = {
-    "tokenize": cmd_tokenize,
-    "build-vocab": cmd_build_vocab,
-    "gen-pairs": cmd_gen_pairs,
-    "augment": cmd_augment,
-    "train": cmd_train,
-    "eval-sim": cmd_eval_sim,
-    "eval-pairsets": cmd_eval_pairsets,
-    "eval-wmd": cmd_eval_wmd,
-    "report": cmd_report,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,102 +423,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"synvec {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help, configure):
-        p = sub.add_parser(name, help=help)
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
         p.add_argument("--config", help="key = value file supplying defaults")
-        configure(p)
-        return p
-
-    bool_opt = dict(action=argparse.BooleanOptionalAction, default=None)
-
-    add("tokenize", "split raw text into sentences of word tokens", lambda p: (
-        p.add_argument("inputs", nargs="*", default=None, help="input text files"),
-        p.add_argument("--out"),
-    ))
-    add("build-vocab", "build a frequency-pruned vocabulary", lambda p: (
-        p.add_argument("--corpus", help="tokenized corpus file"),
-        p.add_argument("--min-count", type=int, dest="min_count"),
-        p.add_argument("--out"),
-    ))
-    add("gen-pairs", "generate positional-sampled skip-gram pairs", lambda p: (
-        p.add_argument("--corpus"),
-        p.add_argument("--vocab"),
-        p.add_argument("--context-size", "-C", type=int, dest="context_size"),
-        p.add_argument("--seed", type=int),
-        p.add_argument("--out"),
-    ))
-    add("augment", "mix synonym-augmented pairs into the dataset", lambda p: (
-        p.add_argument("--pairs"),
-        p.add_argument("--vocab"),
-        p.add_argument("--lexicon"),
-        p.add_argument("--ratio", type=float),
-        p.add_argument("--ratio-sweep", dest="ratio_sweep",
-                       help="'standard' or comma-separated ratios; writes to --out-dir"),
-        p.add_argument("--out-dir", dest="out_dir"),
-        p.add_argument("--seed", type=int),
-        p.add_argument("--out"),
-    ))
-    add("train", "train skip-gram embeddings with negative sampling", lambda p: (
-        p.add_argument("--pairs"),
-        p.add_argument("--vocab"),
-        p.add_argument("--dim", type=int),
-        p.add_argument("--negatives", type=int),
-        p.add_argument("--epochs", type=int),
-        p.add_argument("--lr", type=float),
-        p.add_argument("--batch", type=int),
-        p.add_argument("--seed", type=int),
-        p.add_argument("--init", choices=(sgns.INIT_RANDOM, sgns.INIT_PRETRAINED)),
-        p.add_argument("--pretrained-file", dest="pretrained_file"),
-        p.add_argument("--binary", **bool_opt),
-        p.add_argument("--noise-exponent", type=float, dest="noise_exponent"),
-        p.add_argument("--loss-csv", dest="loss_csv"),
-        p.add_argument("--checkpoint-every", type=int, dest="checkpoint_every",
-                       help="write model.epochN snapshots every N epochs"),
-        p.add_argument("--out"),
-    ))
-    add("eval-sim", "similarity-distance rank correlation", lambda p: (
-        p.add_argument("--model"),
-        p.add_argument("--dataset"),
-        p.add_argument("--dataset-format", dest="dataset_format",
-                       choices=("simlex", "wordsim")),
-        p.add_argument("--name"),
-        p.add_argument("--metric", choices=("cosine", "euclidean")),
-        p.add_argument("--common-vocab", dest="common_vocab"),
-        p.add_argument("--out"),
-    ))
-    add("eval-pairsets", "distance stats over synonym/contextual/random pairs", lambda p: (
-        p.add_argument("--model"),
-        p.add_argument("--pairs"),
-        p.add_argument("--subs", help="substitution records from augment"),
-        p.add_argument("--vocab"),
-        p.add_argument("--size", help="pairs per set: one value or syn,ctx,rand"),
-        p.add_argument("--seed", type=int),
-        p.add_argument("--out"),
-    ))
-    add("eval-wmd", "KNN document classification over Word Mover's Distance", lambda p: (
-        p.add_argument("--model"),
-        p.add_argument("--docs", help="root of <class>/<doc> text files"),
-        p.add_argument("--split", help="manifest of <class>/<doc>\\t<train|test> lines"),
-        p.add_argument("--mode", choices=("loo", "split")),
-        p.add_argument("--k", type=int),
-        p.add_argument("--prune", **bool_opt),
-        p.add_argument("--threads", type=int),
-        p.add_argument("--out"),
-    ))
-    add("report", "merge evaluation CSVs into one summary", lambda p: (
-        p.add_argument("inputs", nargs="*", default=None),
-        p.add_argument("--json", **bool_opt),
-        p.add_argument("--out"),
-    ))
+        for row in cmd.params:
+            text = row.help
+            if row.default is REQUIRED:
+                text += " (required)"
+            elif row.default is not None:
+                text += f" (default: {row.default})"
+            if row.type is file_list:
+                p.add_argument(row.name, nargs="*", help=text)
+                continue
+            flags = [f"--{row.name.replace('_', '-')}"] + ([row.alias] if row.alias else [])
+            if row.type is boolean:
+                p.add_argument(*flags, dest=row.name, default=None, help=text,
+                               action=argparse.BooleanOptionalAction)
+            else:
+                p.add_argument(*flags, dest=row.name, default=None, help=text,
+                               type=row.type, choices=row.choices or None)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    cmd = COMMANDS[args.command]
     try:
-        _COMMANDS[args.command](_Resolver(parser, args))
+        config = read_config(args.config) if args.config else {}
+        params = {row.name: row.resolve(getattr(args, row.name), config)
+                  for row in cmd.params}
+        anchor = cmd.run(argparse.Namespace(**params))
+        write_manifest(anchor, args.command,
+                       {k: v for k, v in params.items() if v is not None})
+    except UsageError as exc:
+        parser.error(f"{args.command}: {exc}")
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"synvec {args.command}: error: {exc}", file=sys.stderr)
         return 1

@@ -186,16 +186,13 @@ def knn_classify(
     k: int = 10,
     prune: bool = False,
     leave_one_out: bool = False,
-    workers: int = 1,
 ) -> tuple[list, float]:
     """Predict a label for each test document by majority vote of its
     k WMD-nearest training documents.
 
     With ``leave_one_out`` the i-th test document is assumed to be the
     i-th training document and is excluded from its own neighbourhood.
-    Per-document classification is pure, so ``workers`` threads change
-    only the wall time, never the predictions. Returns (predictions,
-    accuracy over documents with a true label).
+    Returns (predictions, accuracy over documents with a true label).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -211,13 +208,7 @@ def knn_classify(
         neighbours = _k_nearest(model, test_docs[t], train_docs, k, prune, skip_index=skip)
         return _vote(neighbours, train_docs, class_index)
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            predictions = list(pool.map(classify, range(len(test_docs))))
-    else:
-        predictions = [classify(t) for t in range(len(test_docs))]
+    predictions = [classify(t) for t in range(len(test_docs))]
     correct = scored = 0
     for doc, label in zip(test_docs, predictions):
         if doc.label is not None:

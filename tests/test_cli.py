@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from synvec import cli
 from synvec.cli import main, read_config
-from synvec.embed_io import read_text
+from synvec.embed_io import read_text, write_text
 from synvec.pairgen import read_pairs
 
 
@@ -35,6 +36,17 @@ def pipeline_dir(tmp_path):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def prepare(d, model=True):
+    """tokens.txt, vocab.tsv, pairs.txt (C=3, seed 7) and a dim-8 model.txt in d."""
+    run(["tokenize", d / "raw.txt", "--out", d / "tokens.txt"])
+    run(["build-vocab", "--corpus", d / "tokens.txt", "--out", d / "vocab.tsv"])
+    run(["gen-pairs", "--corpus", d / "tokens.txt", "--vocab", d / "vocab.tsv",
+         "--context-size", "3", "--seed", "7", "--out", d / "pairs.txt"])
+    if model:
+        run(["train", "--pairs", d / "pairs.txt", "--vocab", d / "vocab.tsv",
+             "--dim", "8", "--epochs", "1", "--seed", "7", "--out", d / "model.txt"])
 
 
 class TestPipeline:
@@ -182,7 +194,7 @@ class TestPipeline:
         # (boat, ship) is filtered out by the common vocabulary
         assert (d / "sim.csv").read_text().splitlines()[1].startswith("sim,2,")
 
-    def test_eval_wmd_split_mode_with_threads(self, pipeline_dir):
+    def test_eval_wmd_split_mode(self, pipeline_dir):
         d = pipeline_dir
         run(["tokenize", d / "raw.txt", "--out", d / "tokens.txt"])
         run(["build-vocab", "--corpus", d / "tokens.txt", "--out", d / "vocab.tsv"])
@@ -202,7 +214,7 @@ class TestPipeline:
         )
         assert run(["eval-wmd", "--model", d / "model.txt", "--docs", docs,
                     "--split", split, "--mode", "split", "--k", "1",
-                    "--threads", "2", "--out", d / "wmd_split.csv"]) == 0
+                    "--out", d / "wmd_split.csv"]) == 0
         lines = (d / "wmd_split.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 + 2  # header, two test docs, summary pair
         assert lines[-1].endswith(",2")
@@ -218,6 +230,78 @@ class TestPipeline:
                     "--seed", "7", "--out-dir", d / "sweep"]) == 0
         made = sorted(p.name for p in (d / "sweep").glob("pairs_r*.txt"))
         assert made == ["pairs_r0.1.txt", "pairs_r0.25.txt", "pairs_r0.txt"]
+
+    def test_manifest_reruns_reproduce_outputs(self, pipeline_dir):
+        """A manifest lists only parameters that have a value, so re-running
+        it with a new --out reproduces the primary output byte for byte, and
+        defaults derived from --out follow the new one."""
+        d = pipeline_dir
+        prepare(d)
+        simfile = d / "sim.tsv"
+        simfile.write_text("gem\tjewel\t9.5\ngem\tstone\t5.0\nboat\tship\t9.0\n")
+        docs = d / "docs"
+        for klass, text in [("gems", "gem jewel gem. stone of gem."),
+                            ("boats", "boat ship boat. ship in the boat.")]:
+            (docs / klass).mkdir(parents=True)
+            (docs / klass / "d1.txt").write_text(text)
+            (docs / klass / "d2.txt").write_text(text.replace(".", " a."))
+        runs = {
+            "mixed.txt": ["augment", "--pairs", d / "pairs.txt", "--vocab", d / "vocab.tsv",
+                          "--lexicon", d / "syn.tsv", "--ratio", "0.25", "--seed", "7"],
+            "sim.csv": ["eval-sim", "--model", d / "model.txt", "--dataset", simfile],
+            "wmd.csv": ["eval-wmd", "--model", d / "model.txt", "--docs", docs,
+                        "--mode", "loo", "--k", "1"],
+            "model2.txt": ["train", "--pairs", d / "pairs.txt", "--vocab", d / "vocab.tsv",
+                           "--dim", "8", "--epochs", "1", "--seed", "7"],
+        }
+        for name, argv in runs.items():
+            first, again = d / name, d / f"again_{name}"
+            assert run(argv + ["--out", first]) == 0
+            manifest = f"{first}.manifest"
+            assert run([argv[0], "--config", manifest, "--out", again]) == 0, name
+            assert "None" not in open(manifest).read()
+            assert again.read_bytes() == first.read_bytes(), name
+        assert (d / "again_model2.txt.loss.csv").read_bytes() == \
+               (d / "model2.txt.loss.csv").read_bytes()
+
+    def test_hash_inside_config_value(self, tmp_path):
+        src = tmp_path / "in#dir"
+        src.mkdir()
+        (src / "tokens.txt").write_text("a b c\nb c\n")
+        assert run(["build-vocab", "--corpus", src / "tokens.txt",
+                    "--out", tmp_path / "v1.tsv"]) == 0
+        assert run(["build-vocab", "--config", tmp_path / "v1.tsv.manifest",
+                    "--out", tmp_path / "v2.tsv"]) == 0
+        assert (tmp_path / "v2.tsv").read_bytes() == (tmp_path / "v1.tsv").read_bytes()
+        config = tmp_path / "c.cfg"
+        config.write_text("  # only = a comment line\nkey = a#b # c\n")
+        assert read_config(config) == {"key": "a#b # c"}
+
+    def test_ratio_sweep_out_of_reach_writes_nothing(self, pipeline_dir, capsys):
+        d = pipeline_dir
+        prepare(d, model=False)
+        assert run(["augment", "--pairs", d / "pairs.txt", "--vocab", d / "vocab.tsv",
+                    "--lexicon", d / "syn.tsv", "--ratio-sweep", "0,0.1,0.6,0.9",
+                    "--seed", "7", "--out-dir", d / "sweep"]) == 1
+        err = capsys.readouterr().err
+        assert "ratio 0.6, 0.9 out of reach" in err
+        assert "maximum achievable ratio is 0." in err
+        assert not list((d / "sweep").glob("pairs_r*"))
+
+    def test_eval_pairsets_rejects_permuted_model_rows(self, pipeline_dir, capsys):
+        d = pipeline_dir
+        prepare(d)
+        run(["augment", "--pairs", d / "pairs.txt", "--vocab", d / "vocab.tsv",
+             "--lexicon", d / "syn.tsv", "--ratio", "0.25", "--seed", "7",
+             "--out", d / "mixed.txt"])
+        words, matrix = read_text(d / "model.txt")
+        order = np.roll(np.arange(len(words)), 1)
+        write_text(d / "permuted.txt", [words[i] for i in order], matrix[order])
+        assert run(["eval-pairsets", "--model", d / "permuted.txt", "--pairs", d / "mixed.txt",
+                    "--subs", f"{d / 'mixed.txt'}.subs", "--vocab", d / "vocab.tsv",
+                    "--size", "3,20,20", "--out", d / "pairsets.csv"]) == 1
+        assert "do not line up with the vocabulary" in capsys.readouterr().err
+        assert not (d / "pairsets.csv").exists()
 
 
 class TestExitCodes:
@@ -249,3 +333,50 @@ class TestExitCodes:
                      "--out", str(tmp_path / "v.tsv")])
         assert code == 1
         assert "prunes the entire vocabulary" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["tokenize", "build-vocab", "gen-pairs", "augment", "train",
+                                      "eval-sim", "eval-pairsets", "eval-wmd", "report"])
+    def test_help_lists_every_table_parameter(self, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        params = cli.COMMANDS[name].params
+        assert params
+        for param in params:
+            flag = param.name if param.name == "inputs" else \
+                "--" + param.name.replace("_", "-")
+            assert flag in out
+
+    def test_derived_flag_spellings(self, capsys):
+        for name, flags in [("gen-pairs", ["--context-size", "-C", "(default: 5)"]),
+                            ("augment", ["--ratio-sweep", "--out-dir"]),
+                            ("eval-wmd", ["--prune", "--no-prune", "{loo,split}"])]:
+            with pytest.raises(SystemExit):
+                main([name, "--help"])
+            out = capsys.readouterr().out
+            for flag in flags:
+                assert flag in out
+
+    @pytest.mark.parametrize("command,line", [("eval-wmd", "mode = bogus"),
+                                              ("train", "init = bogus"),
+                                              ("eval-sim", "metric = bogus"),
+                                              ("eval-wmd", "prune = maybe")])
+    def test_bad_config_value_is_usage_error(self, tmp_path, command, line):
+        config = tmp_path / "bad.cfg"
+        config.write_text("model = m\ndocs = d\npairs = p\nvocab = v\ndataset = s\n"
+                          f"{line}\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(config), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["augment", "--pairs", "p", "--vocab", "v", "--lexicon", "l", "--out", "o"],
+        ["augment", "--pairs", "p", "--vocab", "v", "--lexicon", "l", "--ratio-sweep", "0"],
+        ["train", "--pairs", "p", "--vocab", "v", "--init", "pretrained", "--out", "o"],
+        ["eval-wmd", "--model", "m", "--docs", "d", "--mode", "split", "--out", "o"],
+    ])
+    def test_parameter_needed_by_another_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

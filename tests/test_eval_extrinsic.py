@@ -283,13 +283,6 @@ class TestKNN:
         got, _ = knn_classify(model, docs, docs, k=2, leave_one_out=True)
         assert got == naive_knn_oracle(model, docs, docs, k=2, skip_self=True)
 
-    def test_workers_do_not_change_predictions(self):
-        model, docs = self.make_instance(16, seed=24)
-        test, train = docs[:6], docs[6:]
-        serial, _ = knn_classify(model, test, train, k=3, prune=True, workers=1)
-        threaded, _ = knn_classify(model, test, train, k=3, prune=True, workers=4)
-        assert serial == threaded
-
     def test_vote_tie_breaks_by_cumulative_distance_then_class(self):
         # Symmetric single-word docs: the probe sits exactly between one
         # 'b'-labelled and one 'a'-labelled neighbour.
