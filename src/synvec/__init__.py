@@ -6,7 +6,6 @@ from .augment import AugmentationPlan, RATIO_SWEEP, generate_augmented_pairs, mi
 from .corpus import Vocabulary, build_vocabulary, encode, tokenize
 from .eval_extrinsic import (
     NBowDocument,
-    TransportPlan,
     accuracy_ci,
     ground_cost,
     knn_classify,
@@ -25,7 +24,7 @@ from .eval_intrinsic import (
     spearman_rho,
 )
 from .lexicon import SynonymLexicon, is_candidate, load_lexicon, sample_synonym
-from .pairgen import PairDataset, WordPair, generate_pairs, keep_probability
+from .pairgen import PairDataset, generate_pairs, keep_probability
 from .seeds import derive_seed, derived_rng
 from .sgns import (
     EmbeddingModel,

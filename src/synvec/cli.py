@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import shlex
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,8 +43,9 @@ def boolean(raw: str) -> bool:
 
 
 def file_list(raw: str) -> list[str]:
-    """Config-file spelling of the positional file list: space-separated."""
-    return raw.split()
+    """Config-file spelling of the positional file list: shell words, so a
+    path with spaces is quoted."""
+    return shlex.split(raw)
 
 
 REQUIRED = object()  # default of a parameter the run cannot do without
@@ -138,7 +140,7 @@ def write_manifest(out_path: str | Path, command: str, params: dict) -> Path:
         for key in sorted(params):
             value = params[key]
             if isinstance(value, (list, tuple)):
-                value = " ".join(str(v) for v in value)
+                value = shlex.join(str(v) for v in value)
             f.write(f"{key} = {value}\n")
     return manifest
 
@@ -201,19 +203,19 @@ def cmd_gen_pairs(p) -> str:
          PAIRS, VOCAB, Param("lexicon", str, REQUIRED, "synonym lexicon (#synlex v1)"),
          Param("ratio", float, None, "augmented fraction of the mix; writes --out"),
          Param("ratio_sweep", str, None,
-               "'standard' or comma-separated ratios; writes to --out-dir"),
+               "'standard' (the preset ratios the pool reaches) or comma-separated "
+               "ratios; writes to --out-dir"),
          Param("out_dir", str, None, "directory of the --ratio-sweep pair files"),
          SEED, Param("out", str, None, "mixed pair file of --ratio"))
 def cmd_augment(p) -> Path | str:
     if p.ratio_sweep is None:
         _require(p, "ratio", "out")
-        ratios, outs, anchor = [p.ratio], [p.out], p.out
+        ratios, anchor = [p.ratio], p.out
     else:
         _require(p, "out_dir")
         ratios = (augment.RATIO_SWEEP if p.ratio_sweep == "standard"
                   else [float(r) for r in p.ratio_sweep.split(",")])
         out_dir = Path(p.out_dir)
-        outs = [out_dir / f"pairs_r{r:g}.txt" for r in ratios]
         anchor = out_dir / "augment"
     plans = [augment.AugmentationPlan(ratio=r, seed=derive_seed(p.seed, "augment.mix"))
              for r in ratios]
@@ -226,17 +228,22 @@ def cmd_augment(p) -> Path | str:
     pool, substitutions = augment.generate_augmented_pairs(
         natural, lex, vocab, derived_rng(p.seed, "augment.synonyms")
     )
-    # Refuse the whole sweep before writing any of it.
-    unreachable = [r for r in ratios if augment.augmented_count(len(natural), r) > len(pool)]
+    unreachable = [plan.ratio for plan in plans
+                   if augment.augmented_count(len(natural), plan.ratio) > len(pool)]
     if unreachable:
-        raise ValueError(
-            f"ratio {', '.join(f'{r:g}' for r in unreachable)} out of reach: "
-            f"{len(pool)} augmented pairs available, maximum achievable ratio is "
-            f"{augment.max_ratio(len(natural), len(pool)):.4f}"
-        )
+        reason = (f"ratio {', '.join(f'{r:g}' for r in unreachable)} out of reach: "
+                  f"{len(pool)} augmented pairs available, maximum achievable ratio is "
+                  f"{augment.max_ratio(len(natural), len(pool)):.4f}")
+        # The preset spans every corpus size, so it keeps the ratios this pool
+        # reaches; explicit ratios are refused as a whole before any is written.
+        if p.ratio_sweep != "standard":
+            raise ValueError(reason)
+        print(f"augment: skipping standard sweep {reason}")
+        plans = [plan for plan in plans if plan.ratio not in unreachable]
     if p.ratio_sweep is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-    for plan, out in zip(plans, outs):
+    for plan in plans:
+        out = p.out if p.ratio_sweep is None else out_dir / f"pairs_r{plan.ratio:g}.txt"
         mixed = augment.mix(natural, pool, plan)
         pairgen.write_pairs(out, mixed, meta={"C": meta.get("C", "?"),
                                               "seed": p.seed, "ratio": plan.ratio})
@@ -249,32 +256,33 @@ def cmd_augment(p) -> Path | str:
 
 @command("train", "train skip-gram embeddings with negative sampling",
          PAIRS, VOCAB,
-         Param("dim", int, 300, "embedding dimension"),
-         Param("negatives", int, 5, "noise words drawn per pair"),
-         Param("epochs", int, 10, "passes over the pairs"),
-         Param("lr", float, 0.01, "SGD learning rate"),
-         Param("batch", int, 10, "pairs per gradient step"),
+         Param("dim", int, sgns.TrainConfig.dim, "embedding dimension"),
+         Param("negatives", int, sgns.TrainConfig.negatives, "noise words drawn per pair"),
+         Param("epochs", int, sgns.TrainConfig.epochs, "passes over the pairs"),
+         Param("lr", float, sgns.TrainConfig.learning_rate, "SGD learning rate"),
+         Param("batch", int, sgns.TrainConfig.batch_size, "pairs per gradient step"),
          SEED,
-         Param("init", str, sgns.INIT_RANDOM, "initial input vectors",
-               choices=(sgns.INIT_RANDOM, sgns.INIT_PRETRAINED)),
+         Param("init", str, "random", "initial input vectors",
+               choices=("random", "pretrained")),
          Param("pretrained_file", str, None, "vectors read by --init pretrained"),
          Param("binary", boolean, False, "--pretrained-file is word2vec binary"),
-         Param("noise_exponent", float, 0.75, "power of the counts in the noise distribution"),
+         Param("noise_exponent", float, sgns.TrainConfig.noise_exponent,
+               "power of the counts in the noise distribution"),
          Param("loss_csv", str, None, "per-epoch mean loss file, <out>.loss.csv if unset"),
          Param("checkpoint_every", int, 0, "write <out>.epochN snapshots every N epochs"),
          OUT)
 def cmd_train(p) -> str:
-    if p.init == sgns.INIT_PRETRAINED:
+    if p.init == "pretrained":
         _require(p, "pretrained_file")
     config = sgns.TrainConfig(
         dim=p.dim, negatives=p.negatives, epochs=p.epochs, learning_rate=p.lr,
-        batch_size=p.batch, seed=derive_seed(p.seed, "sgns"), init_mode=p.init,
+        batch_size=p.batch, seed=derive_seed(p.seed, "sgns"),
         noise_exponent=p.noise_exponent,
     )
     vocab = corpus.read_vocab(p.vocab)
     dataset, _meta = pairgen.read_pairs(p.pairs)
     initial = None
-    if config.init_mode == sgns.INIT_PRETRAINED:
+    if p.init == "pretrained":
         initial, coverage = sgns.init_pretrained(
             vocab, p.pretrained_file, config.dim,
             derive_seed(config.seed, "sgns.init"), binary=p.binary,

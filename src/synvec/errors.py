@@ -12,7 +12,3 @@ class ParseError(ValueError):
         self.path = str(path)
         self.line = line
         super().__init__(f"{path}:{line}: {message}")
-
-
-class PipelineError(RuntimeError):
-    """A pipeline stage could not produce a valid result."""

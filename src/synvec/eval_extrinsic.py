@@ -48,14 +48,6 @@ class NBowDocument:
             raise ValueError(f"document weights sum to {self.weights.sum()}, expected 1")
 
 
-@dataclass
-class TransportPlan:
-    """Optimal transport flows keyed by (source id, target id), plus total cost."""
-
-    flows: dict[tuple[int, int], float]
-    cost: float
-
-
 def nbow(tokens: Sequence[str], vocab: Vocabulary, label: str | None = None,
          doc_id: str | None = None) -> NBowDocument:
     """Build the normalized word-mass distribution of a token sequence.
@@ -93,15 +85,15 @@ def _cost_matrix(model: EmbeddingModel, d1: NBowDocument, d2: NBowDocument) -> n
 
 def wmd(
     model: EmbeddingModel, d1: NBowDocument, d2: NBowDocument
-) -> tuple[float, TransportPlan]:
-    """Exact Word Mover's Distance and an optimal transport plan."""
-    cost = _cost_matrix(model, d1, d2)
-    flow, total = solve_transport(d1.weights, d2.weights, cost)
-    flows = {
-        (int(d1.ids[i]), int(d2.ids[j])): float(flow[i, j])
-        for i, j in zip(*np.nonzero(flow))
-    }
-    return total, TransportPlan(flows=flows, cost=total)
+) -> tuple[float, np.ndarray]:
+    """Exact Word Mover's Distance and an optimal flow matrix.
+
+    ``flow[i, j]`` is the mass moved from word ``d1.ids[i]`` to word
+    ``d2.ids[j]``; its rows sum to ``d1.weights`` and its columns to
+    ``d2.weights``.
+    """
+    flow, total = solve_transport(d1.weights, d2.weights, _cost_matrix(model, d1, d2))
+    return total, flow
 
 
 def wcd(model: EmbeddingModel, d1: NBowDocument, d2: NBowDocument) -> float:

@@ -7,9 +7,8 @@ offset c from its focus word is kept independently with probability
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -21,21 +20,11 @@ ORIGIN_NATURAL = "N"
 ORIGIN_AUGMENTED = "A"
 
 
-@dataclass(frozen=True, slots=True)
-class WordPair:
-    """One training example: a focus/context id pair at absolute offset ``position``."""
-
-    focus: int
-    context: int
-    position: int
-    origin: str = ORIGIN_NATURAL
-
-
 class PairDataset:
     """Columnar collection of word pairs.
 
-    Stores focus ids, context ids, positions and origin flags as parallel
-    numpy arrays; indexing yields :class:`WordPair` records.
+    Stores focus ids, context ids, positions (absolute context offsets) and
+    origin flags as parallel numpy arrays; pair i is row i of every column.
     """
 
     __slots__ = ("focus", "context", "position", "origin")
@@ -57,16 +46,6 @@ class PairDataset:
         return cls([], [], [], [])
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[WordPair]) -> "PairDataset":
-        pairs = list(pairs)
-        return cls(
-            [p.focus for p in pairs],
-            [p.context for p in pairs],
-            [p.position for p in pairs],
-            [p.origin for p in pairs],
-        )
-
-    @classmethod
     def concat(cls, parts: Iterable["PairDataset"]) -> "PairDataset":
         parts = list(parts)
         if not parts:
@@ -80,15 +59,6 @@ class PairDataset:
 
     def __len__(self) -> int:
         return len(self.focus)
-
-    def __getitem__(self, i: int) -> WordPair:
-        return WordPair(
-            int(self.focus[i]), int(self.context[i]), int(self.position[i]), str(self.origin[i])
-        )
-
-    def __iter__(self) -> Iterator[WordPair]:
-        for i in range(len(self)):
-            yield self[i]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PairDataset):

@@ -26,9 +26,6 @@ from .corpus import Vocabulary
 from .pairgen import PairDataset
 from .seeds import derive_seed, derived_rng
 
-INIT_RANDOM = "random"
-INIT_PRETRAINED = "pretrained"
-
 
 class TrainingError(RuntimeError):
     """Training diverged or could not proceed."""
@@ -64,7 +61,6 @@ class NoiseDistribution:
     """Unigram noise distribution with exponent-damped counts."""
 
     probabilities: np.ndarray
-    exponent: float
     _cdf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -89,7 +85,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     batch_size: int = 10
     seed: int = 0
-    init_mode: str = INIT_RANDOM
     noise_exponent: float = 0.75
 
     def __post_init__(self):
@@ -98,8 +93,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.learning_rate < 0:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.init_mode not in (INIT_RANDOM, INIT_PRETRAINED):
-            raise ValueError(f"unknown init_mode {self.init_mode!r}")
 
 
 def init_random(vocab_size: int, dim: int, seed: int) -> EmbeddingModel:
@@ -147,7 +140,7 @@ def init_pretrained(
 def noise_distribution(vocab: Vocabulary, alpha: float = 0.75) -> NoiseDistribution:
     """P(w) proportional to count(w)**alpha."""
     weights = vocab.counts.astype(np.float64) ** alpha
-    return NoiseDistribution(probabilities=weights / weights.sum(), exponent=alpha)
+    return NoiseDistribution(probabilities=weights / weights.sum())
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -222,19 +215,20 @@ def draw_negatives(
 
 def train_step(
     model: EmbeddingModel,
-    batch: PairDataset,
+    foc: np.ndarray,
+    ctx: np.ndarray,
     noise: NoiseDistribution,
     config: TrainConfig,
     rng: np.random.Generator,
 ) -> tuple[EmbeddingModel, float]:
-    """One SGD step over a batch: accumulate gradients, apply once.
+    """One SGD step over a batch of (foc[i], ctx[i]) id pairs: accumulate
+    gradients, apply once.
 
     The model is updated in place and returned along with the batch mean
     loss.
     """
-    if len(batch) == 0:
+    if len(foc) == 0:
         raise ValueError("batch must be non-empty")
-    foc, ctx = batch.focus, batch.context
     negs = draw_negatives(ctx, config.negatives, noise, rng)
     losses, g_in, g_ctx, g_neg = _batch_gradients(model, foc, ctx, negs)
     lr = config.learning_rate
@@ -253,8 +247,10 @@ def train(
 ) -> tuple[EmbeddingModel, list[float]]:
     """Train over the dataset for config.epochs, reshuffling every epoch.
 
-    Returns the trained model and the per-epoch mean losses. Deterministic
-    given (dataset, config) — every random draw derives from config.seed.
+    Starts from ``initial`` if given (e.g. from init_pretrained), otherwise
+    from init_random. Returns the trained model and the per-epoch mean
+    losses. Deterministic given (dataset, config) — every random draw
+    derives from config.seed.
     ``on_epoch(epoch, model, mean_loss)``, if given, runs after each epoch
     (checkpointing hook; it must not mutate the model).
     """
@@ -263,9 +259,6 @@ def train(
     if len(vocab) < 2:
         raise ValueError("training needs a vocabulary of at least 2 words")
     if initial is None:
-        if config.init_mode == INIT_PRETRAINED:
-            raise ValueError("init_mode=pretrained requires an initial model "
-                             "(build one with init_pretrained)")
         initial = init_random(len(vocab), config.dim, derive_seed(config.seed, "sgns.init"))
     model = initial
     if model.vocab_size != len(vocab) or model.dim != config.dim:
@@ -276,15 +269,17 @@ def train(
     for epoch in range(config.epochs):
         order = derived_rng(config.seed, "sgns.shuffle", epoch).permutation(n)
         neg_rng = derived_rng(config.seed, "sgns.negatives", epoch)
+        focus, context = dataset.focus[order], dataset.context[order]
         total = 0.0
         for batch_index, start in enumerate(range(0, n, config.batch_size)):
-            batch = dataset.subset(order[start:start + config.batch_size])
-            _, mean_loss = train_step(model, batch, noise, config, neg_rng)
+            foc = focus[start:start + config.batch_size]
+            ctx = context[start:start + config.batch_size]
+            _, mean_loss = train_step(model, foc, ctx, noise, config, neg_rng)
             if not np.isfinite(mean_loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {batch_index}"
                 )
-            total += mean_loss * len(batch)
+            total += mean_loss * len(foc)
         epoch_losses.append(total / n)
         if on_epoch is not None:
             on_epoch(epoch, model, epoch_losses[-1])

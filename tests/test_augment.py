@@ -11,7 +11,7 @@ from synvec.augment import (
     read_substitutions,
     write_substitutions,
 )
-from synvec.pairgen import ORIGIN_AUGMENTED, ORIGIN_NATURAL, PairDataset, WordPair
+from synvec.pairgen import ORIGIN_AUGMENTED, ORIGIN_NATURAL, PairDataset
 
 from test_lexicon import make_lexicon, make_vocab
 
@@ -25,9 +25,9 @@ def gem_setup(tmp_path):
 
 
 def natural_pairs(vocab, focus, contexts):
-    return PairDataset.from_pairs(
-        [WordPair(vocab.id(focus), vocab.id(ctx), pos) for pos, ctx in enumerate(contexts, 1)]
-    )
+    n = len(contexts)
+    return PairDataset([vocab.id(focus)] * n, [vocab.id(ctx) for ctx in contexts],
+                       range(1, n + 1), [ORIGIN_NATURAL] * n)
 
 
 class TestGenerateAugmentedPairs:
@@ -36,12 +36,13 @@ class TestGenerateAugmentedPairs:
         natural = natural_pairs(vocab, "gem", ["a", "priceless", "of"])
         augmented, subs = generate_augmented_pairs(natural, lex, vocab, np.random.default_rng(0))
         jewel = vocab.id("jewel")
-        assert [(p.focus, p.context, p.position) for p in augmented] == [
+        assert list(zip(augmented.focus.tolist(), augmented.context.tolist(),
+                        augmented.position.tolist())) == [
             (jewel, vocab.id("a"), 1),
             (jewel, vocab.id("priceless"), 2),
             (jewel, vocab.id("of"), 3),
         ]
-        assert all(p.origin == ORIGIN_AUGMENTED for p in augmented)
+        assert (augmented.origin == ORIGIN_AUGMENTED).all()
         assert subs == [(vocab.id("gem"), jewel)]
 
     def test_non_candidate_contributes_nothing(self, gem_setup):
@@ -74,12 +75,11 @@ class TestGenerateAugmentedPairs:
     def test_separate_occurrences_sample_independently(self, tmp_path):
         vocab = make_vocab({"big": 10, "large": 5, "great": 5, "x": 9, "y": 7})
         lex = make_lexicon(tmp_path, ["big\tadjective\tlarge", "big\tadjective\tgreat"])
-        natural = PairDataset.from_pairs(
-            [
-                WordPair(vocab.id("big"), vocab.id("x"), 1),
-                WordPair(vocab.id("x"), vocab.id("big"), 1),
-                WordPair(vocab.id("big"), vocab.id("y"), 1),
-            ]
+        natural = PairDataset(
+            [vocab.id("big"), vocab.id("x"), vocab.id("big")],
+            [vocab.id("x"), vocab.id("big"), vocab.id("y")],
+            [1, 1, 1],
+            [ORIGIN_NATURAL] * 3,
         )
         seen_pairs = set()
         rng = np.random.default_rng(5)
@@ -108,9 +108,11 @@ class TestGenerateAugmentedPairs:
         augmented, subs = generate_augmented_pairs(natural, lex, vocab, rng)
         contexts = {(int(f), int(c), int(p)) for f, c, p in
                     zip(natural.focus, natural.context, natural.position)}
-        for pair, (orig, syn) in zip(augmented, [subs[0], subs[0]]):
-            assert pair.focus == syn
-            assert (orig, pair.context, pair.position) in contexts
+        rows = zip(augmented.focus.tolist(), augmented.context.tolist(),
+                   augmented.position.tolist(), [subs[0], subs[0]])
+        for focus, context, position, (orig, syn) in rows:
+            assert focus == syn
+            assert (orig, context, position) in contexts
 
 
 class TestPlanAndMix:

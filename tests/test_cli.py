@@ -219,7 +219,7 @@ class TestPipeline:
         assert len(lines) == 1 + 2 + 2  # header, two test docs, summary pair
         assert lines[-1].endswith(",2")
 
-    def test_ratio_sweep_standard_preset(self, pipeline_dir):
+    def test_ratio_sweep_explicit_list(self, pipeline_dir):
         d = pipeline_dir
         run(["tokenize", d / "raw.txt", "--out", d / "tokens.txt"])
         run(["build-vocab", "--corpus", d / "tokens.txt", "--out", d / "vocab.tsv"])
@@ -230,6 +230,33 @@ class TestPipeline:
                     "--seed", "7", "--out-dir", d / "sweep"]) == 0
         made = sorted(p.name for p in (d / "sweep").glob("pairs_r*.txt"))
         assert made == ["pairs_r0.1.txt", "pairs_r0.25.txt", "pairs_r0.txt"]
+
+    def test_ratio_sweep_standard_keeps_reachable_ratios(self, pipeline_dir, capsys):
+        d = pipeline_dir
+        prepare(d, model=False)
+        assert run(["augment", "--pairs", d / "pairs.txt", "--vocab", d / "vocab.tsv",
+                    "--lexicon", d / "syn.tsv", "--ratio-sweep", "standard",
+                    "--seed", "7", "--out-dir", d / "sweep"]) == 0
+        made = sorted(p.name for p in (d / "sweep").glob("pairs_r*.txt"))
+        assert made == sorted(f"pairs_r{r}.txt" for r in
+                              ("0", "0.02", "0.035", "0.06", "0.1", "0.16", "0.25"))
+        out = capsys.readouterr().out
+        assert "ratio 0.37, 0.5, 0.64 out of reach" in out
+        assert "maximum achievable ratio is 0." in out
+
+    def test_manifest_quotes_paths_with_spaces(self, tmp_path):
+        raw = tmp_path / "my raw.txt"
+        raw.write_text("A gem. The jewel shone.")
+        assert run(["tokenize", raw, "--out", tmp_path / "t1.txt"]) == 0
+        assert run(["tokenize", "--config", tmp_path / "t1.txt.manifest",
+                    "--out", tmp_path / "t2.txt"]) == 0
+        assert (tmp_path / "t2.txt").read_bytes() == (tmp_path / "t1.txt").read_bytes()
+        csv_in = tmp_path / "my eval.csv"
+        csv_in.write_text("dataset,pairs_used,rho\nsim,3,0.5\n")
+        assert run(["report", csv_in, "--out", tmp_path / "r1.csv"]) == 0
+        assert run(["report", "--config", tmp_path / "r1.csv.manifest",
+                    "--out", tmp_path / "r2.csv"]) == 0
+        assert (tmp_path / "r2.csv").read_bytes() == (tmp_path / "r1.csv").read_bytes()
 
     def test_manifest_reruns_reproduce_outputs(self, pipeline_dir):
         """A manifest lists only parameters that have a value, so re-running

@@ -95,16 +95,16 @@ class TestWMD:
         rng = np.random.default_rng(3)
         for _ in range(10):
             doc = random_doc(rng, 8)
-            dist, plan = wmd(model, doc, doc)
+            dist, _ = wmd(model, doc, doc)
             assert dist == pytest.approx(0.0, abs=1e-8)
 
     def test_single_word_documents_reduce_to_ground_cost(self):
         model = model_from_matrix(np.random.default_rng(4).normal(size=(6, 3)))
         d1 = NBowDocument(ids=[0], weights=[1.0])
         d2 = NBowDocument(ids=[5], weights=[1.0])
-        dist, plan = wmd(model, d1, d2)
+        dist, flow = wmd(model, d1, d2)
         assert dist == pytest.approx(ground_cost(model, 0, 5))
-        assert plan.flows == {(0, 5): pytest.approx(1.0)}
+        assert flow.tolist() == [[pytest.approx(1.0)]]
 
     def test_matches_lp_oracle_on_random_instances(self):
         model = model_from_matrix(np.random.default_rng(5).normal(size=(12, 5)))
@@ -123,17 +123,11 @@ class TestWMD:
         for _ in range(20):
             d1 = random_doc(rng, 10)
             d2 = random_doc(rng, 10)
-            _, plan = wmd(model, d1, d2)
-            row = Counter()
-            col = Counter()
-            for (i, j), f in plan.flows.items():
-                assert f >= 0
-                row[i] += f
-                col[j] += f
-            for wid, w in zip(d1.ids, d1.weights):
-                assert row[int(wid)] == pytest.approx(w, abs=1e-9)
-            for wid, w in zip(d2.ids, d2.weights):
-                assert col[int(wid)] == pytest.approx(w, abs=1e-9)
+            _, flow = wmd(model, d1, d2)
+            assert flow.shape == (len(d1.ids), len(d2.ids))
+            assert (flow >= 0).all()
+            assert flow.sum(axis=1) == pytest.approx(d1.weights, abs=1e-9)
+            assert flow.sum(axis=0) == pytest.approx(d2.weights, abs=1e-9)
 
     def test_metric_axioms(self):
         model = model_from_matrix(np.random.default_rng(9).normal(size=(9, 4)))

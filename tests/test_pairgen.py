@@ -6,7 +6,6 @@ from synvec.pairgen import (
     ORIGIN_AUGMENTED,
     ORIGIN_NATURAL,
     PairDataset,
-    WordPair,
     generate_pairs,
     keep_probability,
     read_pairs,
@@ -39,7 +38,8 @@ class TestGeneratePairs:
     def test_adjacent_pairs_never_dropped(self):
         for seed in range(20):
             pairs = generate_pairs([[0, 1]], 5, seed=seed)
-            got = {(p.focus, p.context, p.position) for p in pairs}
+            got = set(zip(pairs.focus.tolist(), pairs.context.tolist(),
+                          pairs.position.tolist()))
             assert got == {(0, 1, 1), (1, 0, 1)}
 
     def test_single_token_sentence_yields_nothing(self):
@@ -50,13 +50,14 @@ class TestGeneratePairs:
 
     def test_context_never_crosses_sentences(self):
         pairs = generate_pairs([[0, 1], [2, 3]], 5, seed=3)
-        for p in pairs:
-            assert {p.focus, p.context} in ({0, 1}, {2, 3})
+        for focus, context in zip(pairs.focus.tolist(), pairs.context.tolist()):
+            assert {focus, context} in ({0, 1}, {2, 3})
 
     def test_window_of_one_is_deterministic_and_symmetric(self):
         for seed in (0, 1, 99):
             pairs = generate_pairs([[4, 7, 9]], 1, seed=seed)
-            got = [(p.focus, p.context, p.position) for p in pairs]
+            got = list(zip(pairs.focus.tolist(), pairs.context.tolist(),
+                           pairs.position.tolist()))
             assert got == [(4, 7, 1), (7, 4, 1), (7, 9, 1), (9, 7, 1)]
 
     def test_offsets_bounded_by_window(self):
@@ -94,12 +95,6 @@ class TestGeneratePairs:
 
 
 class TestPairDataset:
-    def test_from_pairs_roundtrip(self):
-        records = [WordPair(0, 1, 1), WordPair(2, 0, 2, ORIGIN_AUGMENTED)]
-        ds = PairDataset.from_pairs(records)
-        assert list(ds) == records
-        assert ds[1].origin == ORIGIN_AUGMENTED
-
     def test_mismatched_columns_rejected(self):
         with pytest.raises(ValueError):
             PairDataset([0, 1], [1], [1, 1], ["N", "N"])

@@ -253,7 +253,8 @@ class TestTrainStep:
         negs = draw_negatives(batch.context, config.negatives, noise,
                               np.random.default_rng(99))
         before = model.copy()
-        train_step(model, batch, noise, config, np.random.default_rng(99))
+        train_step(model, batch.focus, batch.context, noise, config,
+                   np.random.default_rng(99))
         touched_in = set(batch.focus.tolist())
         touched_out = set(batch.context.tolist()) | set(negs.ravel().tolist())
         for row in range(8):
@@ -269,7 +270,8 @@ class TestTrainStep:
         noise = noise_distribution(vocab)
         model = init_random(6, 4, seed=8)
         v = model.input[0].copy()
-        train_step(model, PairDataset([0], [1], [1], ["N"]), noise, config,
+        batch = PairDataset([0], [1], [1], ["N"])
+        train_step(model, batch.focus, batch.context, noise, config,
                    np.random.default_rng(3))
         # gradient at zero output is (sigma(0) - 1) v = -0.5 v
         assert np.allclose(model.output[1], 0.2 * 0.5 * v, atol=1e-15)
@@ -277,13 +279,16 @@ class TestTrainStep:
     def test_returns_mean_loss(self):
         vocab, noise, config, model = self.make_setup()
         batch = PairDataset([0, 1, 2], [3, 4, 5], [1, 1, 1], ["N"] * 3)
-        _, loss = train_step(model, batch, noise, config, np.random.default_rng(1))
+        _, loss = train_step(model, batch.focus, batch.context, noise, config,
+                             np.random.default_rng(1))
         assert np.isfinite(loss) and loss > 0
 
     def test_empty_batch_rejected(self):
         vocab, noise, config, model = self.make_setup()
         with pytest.raises(ValueError):
-            train_step(model, PairDataset.empty(), noise, config, np.random.default_rng(0))
+            batch = PairDataset.empty()
+            train_step(model, batch.focus, batch.context, noise, config,
+                       np.random.default_rng(0))
 
 
 def small_corpus(n_sentences=40, vocab_size=12, length=6, seed=0):
@@ -337,12 +342,6 @@ class TestTrain:
         vocab, _ = small_corpus()
         with pytest.raises(ValueError):
             train(PairDataset.empty(), vocab, TrainConfig(dim=4, batch_size=5))
-
-    def test_pretrained_mode_requires_initial_model(self):
-        vocab, dataset = small_corpus()
-        config = TrainConfig(dim=4, init_mode="pretrained", batch_size=5)
-        with pytest.raises(ValueError, match="pretrained"):
-            train(dataset, vocab, config)
 
     def test_divergence_reports_epoch_and_batch(self):
         vocab, dataset = small_corpus()
