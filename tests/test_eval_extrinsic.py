@@ -48,6 +48,22 @@ def random_doc(rng, vocab_size, max_support=4, label=None):
     return NBowDocument(ids=np.sort(ids), weights=weights / weights.sum(), label=label)
 
 
+def transport_instances(count=40, seed=41):
+    """Seeded transport problems at the benchmark's sizes: rectangular
+    supports from 1 to 60 words, random masses, Euclidean costs between
+    random points, with the 1x1, 1xn and nx1 edge shapes first."""
+    rng = np.random.default_rng(seed)
+    shapes = [(1, 1), (1, 60), (60, 1), (1, 9), (23, 1)]
+    shapes += [tuple(int(x) for x in rng.integers(1, 61, size=2))
+               for _ in range(count - len(shapes))]
+    for m, n in shapes:
+        supply = rng.random(m) + 0.1
+        demand = rng.random(n) + 0.1
+        pts, qts = rng.normal(size=(m, 8)), rng.normal(size=(n, 8))
+        cost = np.sqrt(((pts[:, None] - qts[None]) ** 2).sum(-1))
+        yield supply / supply.sum(), demand / demand.sum(), cost
+
+
 class TestNBow:
     def test_direct_counts(self):
         vocab = make_vocab({"a": 5, "b": 2})
@@ -147,6 +163,15 @@ class TestWMD:
                 np.array([0.5, 0.5]), np.array([0.5, 0.5]),
                 np.array([[1.0, 2.0], [3.0, 4.0]]), max_iterations=0,
             )
+        # This instance needs 4 pivots from the least-cost start, so caps
+        # that allow a pivot or two still stop short of the optimum.
+        cost = np.random.default_rng(40).random((5, 5))
+        masses = np.full(5, 0.2)
+        for cap in (1, 2):
+            with pytest.raises(TransportSolverError):
+                solve_transport(masses, masses, cost, max_iterations=cap)
+        _, total = solve_transport(masses, masses, cost)
+        assert total == pytest.approx(lp_transport_cost(masses, masses, cost), abs=1e-9)
 
     def test_solver_input_validation(self):
         good = np.array([0.5, 0.5])
@@ -157,6 +182,20 @@ class TestWMD:
             solve_transport(np.array([1.0, 0.0]), good, cost)
         with pytest.raises(ValueError, match="unbalanced"):
             solve_transport(np.array([0.9, 0.5]), good, cost)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                solve_transport(good, good, np.array([[1.0, bad], [0.0, 1.0]]))
+            with pytest.raises(ValueError, match="finite"):
+                solve_transport(np.array([0.5, bad]), good, cost)
+
+    def test_non_finite_embedding_rejected(self):
+        matrix = np.random.default_rng(17).normal(size=(6, 3))
+        matrix[2, 1] = np.nan
+        model = model_from_matrix(matrix)
+        d1 = NBowDocument(ids=[0, 2], weights=[0.5, 0.5])
+        d2 = NBowDocument(ids=[4, 5], weights=[0.5, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            wmd(model, d1, d2)
 
     def test_solver_exact_on_degenerate_ties(self):
         # Uniform masses over clustered integer points maximize pivot
@@ -174,6 +213,35 @@ class TestWMD:
                 assert total == pytest.approx(
                     lp_transport_cost(masses, masses, cost), abs=1e-9
                 )
+            # Rectangular ties: uniform masses of different support sizes.
+            rect = np.random.default_rng(31)
+            for _ in range(25):
+                m, n = (int(x) for x in rect.integers(1, 14, size=2))
+                pts = rect.integers(0, 3, size=(m, 2)).astype(float)
+                qts = rect.integers(0, 3, size=(n, 2)).astype(float)
+                cost = np.sqrt(((pts[:, None] - qts[None]) ** 2).sum(-1))
+                supply, demand = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+                _, total = solve_transport(supply, demand, cost, stall_limit=stall_limit)
+                assert total == pytest.approx(
+                    lp_transport_cost(supply, demand, cost), abs=1e-9
+                )
+
+    def test_solver_matches_lp_oracle_at_benchmark_sizes(self):
+        for supply, demand, cost in transport_instances():
+            _, total = solve_transport(supply, demand, cost)
+            assert total == pytest.approx(lp_transport_cost(supply, demand, cost), abs=1e-9)
+
+    def test_solver_returns_basic_feasible_flow(self):
+        # A spanning-tree basis has m + n - 1 cells, so a correct pivot
+        # sequence never leaves more positive cells than that.
+        for supply, demand, cost in transport_instances():
+            flow, _ = solve_transport(supply, demand, cost)
+            m, n = cost.shape
+            assert flow.shape == (m, n)
+            assert (flow >= 0).all()
+            assert np.count_nonzero(flow) <= m + n - 1
+            assert np.abs(flow.sum(axis=1) - supply).max() <= 1e-12
+            assert np.abs(flow.sum(axis=0) - demand).max() <= 1e-12
 
 
 class TestLowerBounds:
