@@ -30,6 +30,7 @@ def read_text(path: str | Path) -> tuple[list[str], np.ndarray]:
     with open(path, encoding="utf-8") as f:
         count, dim = _parse_header(path, f.readline())
         words: list[str] = []
+        linenos: list[int] = []
         rows = np.empty((count, dim), dtype=np.float64)
         lineno = 1
         for lineno, line in enumerate(f, start=2):
@@ -47,8 +48,12 @@ def read_text(path: str | Path) -> tuple[list[str], np.ndarray]:
             except ValueError:
                 raise ParseError(path, lineno, f"non-numeric vector component in {line!r}")
             words.append(fields[0])
+            linenos.append(lineno)
         if len(words) != count:
             raise ParseError(path, lineno, f"header promised {count} rows, found {len(words)}")
+    bad = _first_non_finite_row(rows)
+    if bad is not None:
+        raise ParseError(path, linenos[bad], f"non-finite vector component for word {words[bad]!r}")
     return words, rows
 
 
@@ -90,6 +95,9 @@ def read_binary(path: str | Path) -> tuple[list[str], np.ndarray]:
         pos = space + 1 + vec_bytes
     if data[pos:].strip(b" \r\n"):
         raise ParseError(path, count + 1, "unexpected trailing data after last record")
+    bad = _first_non_finite_row(rows)
+    if bad is not None:
+        raise ParseError(path, bad + 1, f"non-finite vector component for word {words[bad]!r}")
     return words, rows
 
 
@@ -118,6 +126,12 @@ def _check_rows(words: Sequence[str], matrix: np.ndarray) -> None:
     for word in words:
         if not word or any(ch.isspace() for ch in word):
             raise ValueError(f"word {word!r} cannot be serialized (whitespace or empty)")
+
+
+def _first_non_finite_row(rows: np.ndarray) -> int | None:
+    """Index of the first row holding a NaN or infinite component, if any."""
+    finite = np.isfinite(rows).all(axis=1)
+    return None if finite.all() else int(np.argmin(finite))
 
 
 def _parse_header(path, line: str) -> tuple[int, int]:

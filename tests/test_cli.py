@@ -330,6 +330,22 @@ class TestPipeline:
         assert "do not line up with the vocabulary" in capsys.readouterr().err
         assert not (d / "pairsets.csv").exists()
 
+    def test_eval_pairsets_rejects_non_finite_model(self, pipeline_dir, capsys):
+        d = pipeline_dir
+        prepare(d)
+        run(["augment", "--pairs", d / "pairs.txt", "--vocab", d / "vocab.tsv",
+             "--lexicon", d / "syn.tsv", "--ratio", "0.25", "--seed", "7",
+             "--out", d / "mixed.txt"])
+        words, matrix = read_text(d / "model.txt")
+        matrix[2, 3] = np.nan
+        write_text(d / "nan.txt", words, matrix)
+        assert run(["eval-pairsets", "--model", d / "nan.txt", "--pairs", d / "mixed.txt",
+                    "--subs", f"{d / 'mixed.txt'}.subs", "--vocab", d / "vocab.tsv",
+                    "--size", "3,20,20", "--out", d / "pairsets.csv"]) == 1
+        assert f"nan.txt:4: non-finite vector component for word {words[2]!r}" in (
+            capsys.readouterr().err)
+        assert not (d / "pairsets.csv").exists()
+
 
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self):

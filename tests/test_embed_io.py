@@ -59,6 +59,13 @@ class TestTextFormat:
         with pytest.raises(ParseError, match="header"):
             read_text(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_component_reports_line(self, tmp_path, bad):
+        path = tmp_path / "e.txt"
+        path.write_text(f"2 2\na 1.0 2.0\n\nb 0.5 {bad}\n")
+        with pytest.raises(ParseError, match=r":4: non-finite vector component for word 'b'"):
+            read_text(path)
+
     def test_word_with_whitespace_rejected_on_write(self, tmp_path):
         with pytest.raises(ValueError, match="whitespace"):
             write_text(tmp_path / "e.txt", ["a b"], np.ones((1, 2)))
@@ -118,6 +125,16 @@ class TestBinaryFormat:
         path = tmp_path / "e.bin"
         path.write_bytes(b"1 1\n\xff\xfe " + struct.pack("<f", 0.5) + b"\n")
         with pytest.raises(ParseError, match="UTF-8"):
+            read_binary(path)
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_component_reports_record(self, tmp_path, bad):
+        matrix = np.ones((3, 2), dtype="<f4")
+        matrix[1, 0] = bad
+        path = tmp_path / "e.bin"
+        write_binary(path, ["a", "b", "c"], matrix)
+        with pytest.raises(ParseError, match=r":2: non-finite vector component for word 'b'"):
             read_binary(path)
 
 

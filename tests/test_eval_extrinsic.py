@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from synvec import eval_extrinsic
 from synvec.eval_extrinsic import (
     NBowDocument,
+    _cost_matrix,
+    _k_nearest,
     accuracy_ci,
     ground_cost,
     knn_classify,
@@ -104,6 +107,21 @@ class TestGroundCost:
         model = model_from_matrix(np.random.default_rng(1).normal(size=(5, 4)))
         assert ground_cost(model, 1, 3) == ground_cost(model, 3, 1)
 
+    @pytest.mark.parametrize("tile_entries", [None, 1, 7, 64])
+    def test_cost_matrix_bitwise_equals_row_formula(self, monkeypatch, tile_entries):
+        # Tiling splits rows and columns, never the sum over dimensions,
+        # so every entry must carry the bits of the untiled formula.
+        if tile_entries is not None:
+            monkeypatch.setattr(eval_extrinsic, "_TILE_ENTRIES", tile_entries)
+        rng = np.random.default_rng(2)
+        model = model_from_matrix(rng.normal(size=(40, 9)))
+        for m, n in [(1, 1), (1, 40), (40, 1), (7, 13), (23, 31)]:
+            d1 = NBowDocument(ids=rng.choice(40, m, replace=False), weights=np.full(m, 1 / m))
+            d2 = NBowDocument(ids=rng.choice(40, n, replace=False), weights=np.full(n, 1 / n))
+            a, b = model.input[d1.ids], model.input[d2.ids]
+            expected = np.array([np.sqrt(((row - b) ** 2).sum(-1)) for row in a])
+            assert _cost_matrix(model, d1, d2).tobytes() == expected.tobytes()
+
 
 class TestWMD:
     def test_identical_documents_distance_zero(self):
@@ -187,6 +205,19 @@ class TestWMD:
                 solve_transport(good, good, np.array([[1.0, bad], [0.0, 1.0]]))
             with pytest.raises(ValueError, match="finite"):
                 solve_transport(np.array([0.5, bad]), good, cost)
+
+    def test_cost_argument_shape_checked(self):
+        model = model_from_matrix(np.random.default_rng(18).normal(size=(6, 3)))
+        d1 = NBowDocument(ids=[0, 2, 3], weights=[0.5, 0.25, 0.25])
+        d2 = NBowDocument(ids=[4, 5], weights=[0.5, 0.5])
+        cost = _cost_matrix(model, d1, d2)
+        assert wmd(model, d1, d2, cost=cost)[0] == wmd(model, d1, d2)[0]
+        assert rwmd(model, d1, d2, cost=cost) == rwmd(model, d1, d2)
+        for bad in (cost.T, cost[:, :1], cost[:2], cost.ravel()):
+            with pytest.raises(ValueError, match="cost has shape"):
+                wmd(model, d1, d2, cost=bad)
+            with pytest.raises(ValueError, match="cost has shape"):
+                rwmd(model, d1, d2, cost=bad)
 
     def test_non_finite_embedding_rejected(self):
         matrix = np.random.default_rng(17).normal(size=(6, 3))
@@ -357,12 +388,38 @@ class TestKNN:
         predictions, _ = knn_classify(model, [probe], train, k=2)
         assert predictions == ["a"]  # equal votes, equal distance, lower class index
 
+    @pytest.mark.parametrize("vocab_size, dim, n_train, support", [
+        (30, 5, 40, 6),
+        # A candidate union wider than one scratch tile's columns at d=300.
+        (3000, 300, 30, 100),
+    ])
+    def test_k_nearest_bitwise_equals_per_pair_wmd(self, vocab_size, dim, n_train, support):
+        rng = np.random.default_rng(26)
+        model = model_from_matrix(rng.normal(size=(vocab_size, dim)))
+        train = [random_doc(rng, vocab_size, max_support=support) for _ in range(n_train)]
+        train[1] = NBowDocument(ids=[int(train[0].ids[0])], weights=[1.0])  # shares a word
+        train[2] = NBowDocument(ids=[int(train[0].ids[0])], weights=[1.0])  # duplicate of 1
+        train[3] = NBowDocument(ids=train[0].ids, weights=train[0].weights[::-1].copy())
+        test = [train[0], train[1], random_doc(rng, vocab_size, max_support=40)]
+        union = np.unique(np.concatenate([d.ids for d in train]))
+        if dim == 300:
+            assert len(union) > eval_extrinsic._TILE_ENTRIES // dim
+        for doc, skip in [(test[0], None), (test[0], 0), (test[1], 1), (test[2], None)]:
+            reference = sorted((wmd(model, doc, other)[0], i)
+                               for i, other in enumerate(train) if i != skip)[:5]
+            for prune in (False, True):
+                got = _k_nearest(model, doc, train, 5, prune, skip_index=skip)
+                assert [(d.hex(), i) for d, i in got] == [(d.hex(), i) for d, i in reference]
+
     def test_k_of_one_requires_positive_train_set(self):
         model, docs = self.make_instance(4, seed=25)
         with pytest.raises(ValueError):
             knn_classify(model, docs, [], k=1)
         with pytest.raises(ValueError):
             knn_classify(model, docs, docs, k=0)
+        for prune in (False, True):
+            with pytest.raises(ValueError, match="at least two"):
+                knn_classify(model, docs[:1], docs[:1], k=1, prune=prune, leave_one_out=True)
 
 
 class TestAccuracyCI:
