@@ -376,6 +376,12 @@ def cmd_eval_wmd(p) -> str:
         test_docs, train_docs, loo = loaded.train, loaded.train, True
     else:
         test_docs, train_docs, loo = loaded.test, loaded.train, False
+    if not test_docs:
+        raise ValueError(
+            f"no documents to classify: {p.split or p.docs} leaves {len(loaded.train)} train, "
+            f"{len(loaded.test)} test, {loaded.skipped} skipped and {loaded.unassigned} "
+            "unassigned documents"
+        )
     predictions, _ = eval_extrinsic.knn_classify(
         model, test_docs, train_docs, k=p.k, prune=p.prune, leave_one_out=loo,
     )
@@ -388,7 +394,8 @@ def cmd_eval_wmd(p) -> str:
         f.write("accuracy,half_width,n\n")
         f.write(f"{acc!r},{half_width!r},{len(test_docs)}\n")
     print(f"eval-wmd: accuracy {acc:.4f} (+/- {half_width:.4f}) over "
-          f"{len(test_docs)} docs ({loaded.skipped} skipped) -> {p.out}")
+          f"{len(test_docs)} docs ({loaded.skipped} skipped, {loaded.unassigned} unassigned) "
+          f"-> {p.out}")
     return p.out
 
 

@@ -4,21 +4,37 @@ Network simplex specialized to the dense bipartite graph of m supply rows
 and n demand columns. The basis (m + n - 1 cells) is kept as a spanning
 tree over the m + n nodes, rooted at row 0, with a parent, depth and child
 list per node and one vector of node potentials (row potentials u, column
-potentials v, with u_i + v_j = cost_ij on every basic cell).
+potentials v, with u_i + v_j = cost_ij on every basic cell). The tree is
+strongly feasible (Cunningham 1976): every zero-flow basic cell (i, j) has
+column j as the parent of row i, so it points towards the root.
 
 - Start: least-cost rule. Cells are visited in order of increasing cost;
-  each open cell whose row and column still have mass gets min(supply,
-  demand) and closes exactly one of its two lines, so the start is a basic
-  feasible solution whose cells form a spanning tree.
-- Entering cell: normally the most negative reduced cost over the whole
-  matrix (Dantzig). After more than ``stall_limit`` degenerate pivots in a
-  row the solver switches to Bland's rule (lowest-index entering and
-  leaving cells), whose anti-cycling guarantee makes termination certain.
-- Pivot: the cycle the entering cell closes is found by walking parents
-  up from its row and its column to their common ancestor. The leaving
-  cell is cut, the subtree it separates from the root is re-hung from the
-  entering cell, and only that subtree's potentials shift, by the entering
-  reduced cost.
+  each cell whose row and column still have mass gets min(supply, demand),
+  which empties its row or its column, so the positive cells form a
+  forest. The tree grows from row 0 over them. Every other component
+  hangs by its lowest row, through a zero-flow cell, from the cheapest
+  column already in the tree.
+- Entering cell: the most negative reduced cost over the whole matrix
+  (Dantzig).
+- Leaving cell: the cycle is found by walking parents up from the entering
+  cell's row and column to their common ancestor, the apex. Of the losing
+  cells whose flow runs out first, the last one met when walking the
+  cycle from the apex along the entering flow leaves, which keeps the tree
+  strongly feasible. The subtree it cuts off is re-hung from the entering
+  cell, and only that subtree's potentials shift, by the reduced cost.
+- Termination: a pivot that moves mass lowers the total cost. One that
+  moves none leaves through a zero-flow cell, which points towards the
+  root and so lies on the entering row's side: the re-hung subtree holds
+  the entering row, its u fall and its v rise, and sum(u) - sum(v) falls
+  strictly. No basis recurs, so degenerate pivots cannot cycle.
+
+The balance check lets the totals differ by 1e-9, so the start may leave
+that much mass on one side, and a column whose whole demand fits in it
+may get no flow. Such a column hangs from the root as a zero-flow leaf,
+the one cell that points away from it. A cycle through the leaf enters at
+it, moves no mass and cuts that same cell, so the column stays a leaf and
+only its own v falls; the argument above holds for the other nodes. If
+row 0 gets no flow, the first row that has some is the root.
 
 Supplies, demands and costs must be finite. The solver either returns an
 exact optimum or raises; it never silently returns a suboptimal plan.
@@ -38,7 +54,6 @@ def solve_transport(
     demand: np.ndarray,
     cost: np.ndarray,
     max_iterations: int | None = None,
-    stall_limit: int | None = None,
 ) -> tuple[np.ndarray, float]:
     """Minimum-cost flow between discrete mass distributions.
 
@@ -47,6 +62,11 @@ def solve_transport(
     supply : (m,) positive masses.
     demand : (n,) positive masses with the same total as ``supply``.
     cost : (m, n) non-negative unit transport costs.
+    max_iterations : cap on passes of the pivot loop, by default
+        1000 * (m + n) + 10_000; ``TransportSolverError`` when reached.
+        Each pass prices every cell and then either pivots or, if no
+        reduced cost is below the tolerance, returns: the final optimality
+        check is a pass too, so a solve with p pivots takes p + 1 passes.
 
     Returns
     -------
@@ -69,57 +89,50 @@ def solve_transport(
             f"unbalanced problem: supply {supply.sum()!r} vs demand {demand.sum()!r}"
         )
 
-    flow, cells = _least_cost_start(supply, demand, cost)
-    parent, depth, children, pot = _spanning_tree(cells, cost, m, n)
     # +1 on row nodes, -1 on column nodes: the sign of a subtree's shift.
     side = np.concatenate([np.ones(m), -np.ones(n)])
     # Reduced costs below -tol trigger a pivot; relative to the cost scale
     # so exactness does not degrade for very small or very large costs.
     tol = 1e-12 * float(np.abs(cost).max())
+    up_flow, parent, depth, children, pot = _least_cost_start(supply, demand, cost)
     if max_iterations is None:
         max_iterations = 1000 * (m + n) + 10_000
-    if stall_limit is None:
-        stall_limit = m + n + 16  # degenerate pivots tolerated before Bland's rule
-    stalled = 0
-
-    def cell(node):
-        """Basic cell joining a non-root node to its parent."""
-        return (node, parent[node] - m) if node < m else (parent[node], node - m)
 
     for _ in range(max_iterations):
         reduced = cost - pot[:m, None] - pot[None, m:]
-        if stalled <= stall_limit:
-            entering = _dantzig_entering(reduced, -tol)
-        else:
-            entering = _bland_entering(reduced, -tol)
-        if entering is None:
-            total = float((flow * cost).sum())
-            return flow, total
+        entering = divmod(int(reduced.argmin()), n)
+        if not reduced[entering] < -tol:
+            flow = np.zeros((m, n))
+            for node, up in enumerate(parent):
+                if up >= 0:
+                    flow[(node, up - m) if node < m else (up, node - m)] = up_flow[node]
+            return flow, float((flow * cost).sum())
         row, col = entering[0], m + entering[1]
         row_side, col_side = _paths_to_common_ancestor(parent, depth, row, col)
+        # A node on either path stands for the cell joining it to its parent.
         # From each end of the entering cell the cycle's cells alternate
-        # -, +, -, ...; the tightest losing cell (lowest index on ties) leaves.
-        losers = [cell(x) for x in row_side[0::2] + col_side[0::2]]
-        gainers = [cell(x) for x in row_side[1::2] + col_side[1::2]]
-        theta = min(flow[c] for c in losers)
-        leaving = min(c for c in losers if flow[c] == theta)
-        for c in gainers:
-            flow[c] += theta
-        for c in losers:
-            flow[c] -= theta
-        flow[entering] = theta
-        stalled = 0 if theta > 0.0 else stalled + 1
-
-        # The leaving cell's child node roots the subtree cut off from row 0;
-        # it holds one end of the entering cell, which becomes its new root.
-        cut = leaving[0] if parent[leaving[0]] == m + leaving[1] else m + leaving[1]
+        # -, +, -, ... Walking the cycle from the apex along the entering
+        # flow meets the row side top-down, then the column side bottom-up;
+        # the last losing cell met among those that run out first leaves.
+        losers = row_side[0::2][::-1] + col_side[0::2]
+        theta = min(up_flow[x] for x in losers)
+        cut = [x for x in losers if up_flow[x] == theta][-1]
+        for x in row_side[1::2] + col_side[1::2]:
+            up_flow[x] += theta
+        for x in losers:
+            up_flow[x] -= theta
+        # The leaving cell's child node roots the subtree cut off from the
+        # root; it holds one end of the entering cell, which becomes its new
+        # root. Reversing the path from there up to the cut moves each cell
+        # (and its flow) one node along, and the entering cell onto the top.
         top, anchor = (row, col) if cut in row_side else (col, row)
-        node, new_parent = top, anchor
+        node, new_parent, carried = top, anchor, theta
         while True:
             old_parent = parent[node]
             children[old_parent].remove(node)
             parent[node] = new_parent
             children[new_parent].append(node)
+            up_flow[node], carried = carried, up_flow[node]
             if node == cut:
                 break
             node, new_parent = old_parent, node
@@ -135,72 +148,66 @@ def solve_transport(
         shift = reduced[entering] if top < m else -reduced[entering]
         pot[subtree] += shift * side[subtree]
     raise TransportSolverError(
-        f"no convergence after {max_iterations} pivots on a {m}x{n} problem"
+        f"no convergence after {max_iterations} iterations on a {m}x{n} problem"
     )
 
 
 def _least_cost_start(supply, demand, cost):
-    """Basic feasible solution from the least-cost rule: m + n - 1 cells.
+    """Least-cost rule and a strongly feasible basis tree over its flows.
 
-    Each allocation closes exactly one line (its row or its column), the
-    last one both, so the cells form a spanning tree even when a row and a
-    column run out together; the line left open then carries a zero-flow
-    basic cell.
+    Nodes are rows 0..m-1, then columns m..m+n-1. Returns, per node, the
+    flow on the cell joining it to its parent, the parent, depth and child
+    lists, and potentials: 0 at the root, u_i + v_j = cost[i, j] on every
+    basic cell. Each allocation empties its row or its column, so the
+    positive cells form a forest.
     """
     m, n = cost.shape
     a = supply.tolist()
     b = demand.tolist()
-    flow = np.zeros((m, n))
-    cells = []
-    row_open = [True] * m
-    col_open = [True] * n
+    neighbours = [[] for _ in range(m + n)]
     rows_left, cols_left = m, n
     order = np.argsort(cost, axis=None, kind="stable")
     for i, j in zip(*(x.tolist() for x in np.divmod(order, n))):
-        if not (row_open[i] and col_open[j]):
-            continue
-        t = min(a[i], b[j])
-        flow[i, j] = t
-        cells.append((i, j))
-        if rows_left == 1 and cols_left == 1:
-            break
-        if rows_left > 1 and (a[i] <= b[j] or cols_left == 1):
-            row_open[i] = False
-            rows_left -= 1
-        else:
-            col_open[j] = False
-            cols_left -= 1
-        a[i] -= t
-        b[j] -= t
-    return flow, cells
+        if a[i] and b[j]:  # both still have mass; none ever falls below 0
+            t = min(a[i], b[j])
+            neighbours[i].append((m + j, t))
+            neighbours[m + j].append((i, t))
+            a[i] -= t
+            b[j] -= t
+            rows_left -= a[i] == 0
+            cols_left -= b[j] == 0
+            if not (rows_left and cols_left):
+                break
 
-
-def _spanning_tree(cells, cost, m, n):
-    """Parent, depth, child lists and potentials of the basis tree.
-
-    Nodes are rows 0..m-1 and columns m..m+n-1; the root is row 0 with
-    potential 0, and every basic cell (i, j) gets u_i + v_j = cost[i, j].
-    """
-    neighbours = [[] for _ in range(m + n)]
-    for i, j in cells:
-        neighbours[i].append(m + j)
-        neighbours[m + j].append(i)
-    parent = [-1] * (m + n)
-    depth = [0] * (m + n)
+    up_flow, pot = [0.0] * (m + n), [0.0] * (m + n)
+    parent, depth = [-1] * (m + n), [0] * (m + n)
     children = [[] for _ in range(m + n)]
-    pot = np.zeros(m + n)
-    order = [0]
-    for node in order:
-        for other in neighbours[node]:
-            if other == parent[node]:
-                continue
-            parent[other] = node
-            depth[other] = depth[node] + 1
-            children[node].append(other)
-            i, j = (node, other - m) if node < m else (other, node - m)
-            pot[other] = cost[i, j] - pot[node]
-            order.append(other)
-    return parent, depth, children, pot
+
+    def hang(node, up, t):
+        """Place node below up by a cell carrying t, then the rest of its
+        positive cells' tree below it."""
+        queue = [(node, up, t)]
+        for node, up, t in queue:
+            up_flow[node], parent[node], depth[node] = t, up, depth[up] + 1
+            children[up].append(node)
+            i, j = (node, up - m) if node < m else (up, node - m)
+            pot[node] = cost.item(i, j) - pot[up]
+            for other, f in neighbours[node]:
+                if other != up:
+                    queue.append((other, node, f))
+
+    root = next(i for i in range(m) if neighbours[i])
+    for other, t in neighbours[root]:
+        hang(other, root, t)
+    for x in [x for x in range(m + n) if parent[x] < 0 and x != root]:
+        if parent[x] >= 0:
+            continue  # placed with an earlier row's component
+        if x < m:
+            cols = [j for j in range(n) if parent[m + j] >= 0]
+            hang(x, m + cols[int(cost[x, cols].argmin())], 0.0)
+        else:  # a column with no flow: see the module docstring
+            hang(x, root, 0.0)
+    return up_flow, parent, depth, children, np.array(pot)
 
 
 def _paths_to_common_ancestor(parent, depth, a, b):
@@ -219,23 +226,3 @@ def _paths_to_common_ancestor(parent, depth, a, b):
         a = parent[a]
         b = parent[b]
     return from_a, from_b
-
-
-def _dantzig_entering(reduced, threshold):
-    """Cell with the most negative reduced cost, or None at optimality."""
-    flat = int(reduced.argmin())
-    cell = divmod(flat, reduced.shape[1])
-    return cell if reduced[cell] < threshold else None
-
-
-def _bland_entering(reduced, threshold):
-    """Lowest-index (row-major) cell with reduced cost below threshold.
-
-    Slower than the Dantzig rule but immune to cycling; used to escape
-    runs of degenerate pivots.
-    """
-    mask = reduced < threshold
-    if not mask.any():
-        return None
-    flat = int(np.flatnonzero(mask.ravel())[0])
-    return divmod(flat, reduced.shape[1])

@@ -219,6 +219,30 @@ class TestPipeline:
         assert len(lines) == 1 + 2 + 2  # header, two test docs, summary pair
         assert lines[-1].endswith(",2")
 
+    def test_eval_wmd_split_without_test_documents(self, pipeline_dir, capsys):
+        d = pipeline_dir
+        prepare(d)
+        docs = d / "docs3"
+        for klass, text in [("gems", "gem jewel stone."), ("boats", "boat ship the.")]:
+            (docs / klass).mkdir(parents=True)
+            for i in range(2):
+                (docs / klass / f"d{i}.txt").write_text(text)
+        split = d / "split.tsv"
+        # The only test line names a document that does not exist.
+        split.write_text("gems/d0.txt\ttrain\nboats/d0.txt\ttrain\nboats/d9.txt\ttest\n")
+        args = ["eval-wmd", "--model", d / "model.txt", "--docs", docs,
+                "--split", split, "--mode", "split", "--k", "1", "--out"]
+        capsys.readouterr()
+        assert run(args + [d / "none.csv"]) == 1
+        err = capsys.readouterr().err
+        assert str(split) in err
+        assert "2 train, 0 test, 0 skipped and 2 unassigned" in err
+        assert not (d / "none.csv").exists()
+        # Documents the split leaves out are counted in the summary line.
+        split.write_text("gems/d0.txt\ttrain\nboats/d0.txt\ttrain\nboats/d1.txt\ttest\n")
+        assert run(args + [d / "one.csv"]) == 0
+        assert "1 docs (0 skipped, 1 unassigned)" in capsys.readouterr().out
+
     def test_ratio_sweep_explicit_list(self, pipeline_dir):
         d = pipeline_dir
         run(["tokenize", d / "raw.txt", "--out", d / "tokens.txt"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from synvec import eval_extrinsic
+from synvec import eval_extrinsic, transport
 from synvec.eval_extrinsic import (
     NBowDocument,
     _cost_matrix,
@@ -181,8 +181,8 @@ class TestWMD:
                 np.array([0.5, 0.5]), np.array([0.5, 0.5]),
                 np.array([[1.0, 2.0], [3.0, 4.0]]), max_iterations=0,
             )
-        # This instance needs 4 pivots from the least-cost start, so caps
-        # that allow a pivot or two still stop short of the optimum.
+        # This instance needs 2 pivots from the least-cost start, and so 3
+        # passes with the final optimality check; caps 1 and 2 stop short.
         cost = np.random.default_rng(40).random((5, 5))
         masses = np.full(5, 0.2)
         for cap in (1, 2):
@@ -230,32 +230,85 @@ class TestWMD:
 
     def test_solver_exact_on_degenerate_ties(self):
         # Uniform masses over clustered integer points maximize pivot
-        # degeneracy; both entering rules must reach the same optimum.
+        # degeneracy; the solver must still reach the LP optimum.
         rng = np.random.default_rng(30)
-        for stall_limit in (None, 0):  # 0 forces the Bland fallback path
-            for _ in range(25):
-                m = int(rng.integers(4, 14))
-                pts = rng.integers(0, 3, size=(m, 2)).astype(float)
-                qts = rng.integers(0, 3, size=(m, 2)).astype(float)
-                cost = np.sqrt(((pts[:, None] - qts[None]) ** 2).sum(-1))
-                masses = np.full(m, 1.0 / m)
-                _, total = solve_transport(masses, masses, cost,
-                                           stall_limit=stall_limit)
-                assert total == pytest.approx(
-                    lp_transport_cost(masses, masses, cost), abs=1e-9
-                )
-            # Rectangular ties: uniform masses of different support sizes.
-            rect = np.random.default_rng(31)
-            for _ in range(25):
-                m, n = (int(x) for x in rect.integers(1, 14, size=2))
-                pts = rect.integers(0, 3, size=(m, 2)).astype(float)
-                qts = rect.integers(0, 3, size=(n, 2)).astype(float)
-                cost = np.sqrt(((pts[:, None] - qts[None]) ** 2).sum(-1))
-                supply, demand = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
-                _, total = solve_transport(supply, demand, cost, stall_limit=stall_limit)
-                assert total == pytest.approx(
-                    lp_transport_cost(supply, demand, cost), abs=1e-9
-                )
+        for _ in range(25):
+            m = int(rng.integers(4, 14))
+            pts = rng.integers(0, 3, size=(m, 2)).astype(float)
+            qts = rng.integers(0, 3, size=(m, 2)).astype(float)
+            cost = np.sqrt(((pts[:, None] - qts[None]) ** 2).sum(-1))
+            masses = np.full(m, 1.0 / m)
+            _, total = solve_transport(masses, masses, cost)
+            assert total == pytest.approx(
+                lp_transport_cost(masses, masses, cost), abs=1e-9
+            )
+        # Rectangular ties: uniform masses of different support sizes.
+        rect = np.random.default_rng(31)
+        for _ in range(25):
+            m, n = (int(x) for x in rect.integers(1, 14, size=2))
+            pts = rect.integers(0, 3, size=(m, 2)).astype(float)
+            qts = rect.integers(0, 3, size=(n, 2)).astype(float)
+            cost = np.sqrt(((pts[:, None] - qts[None]) ** 2).sum(-1))
+            supply, demand = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+            _, total = solve_transport(supply, demand, cost)
+            assert total == pytest.approx(
+                lp_transport_cost(supply, demand, cost), abs=1e-9
+            )
+
+    def test_solver_keeps_tree_strongly_feasible(self, monkeypatch):
+        # Every zero-flow basic cell must hang a row from its column, which
+        # points it towards the root, or the leaving rule no longer rules
+        # out cycling. Lattice costs with uniform masses make many such
+        # cells. The solver's own lists are checked after the start and
+        # before every pivot.
+        start, paths = transport._least_cost_start, transport._paths_to_common_ancestor
+        tree, checks = [], []
+
+        def strongly_feasible(up_flow, parent, m):
+            placed = [x for x in range(len(parent)) if parent[x] >= 0]
+            return (len(placed) == len(parent) - 1
+                    and all(up_flow[x] > 0 or x < m for x in placed))
+
+        def checked_start(supply, demand, cost):
+            result = start(supply, demand, cost)
+            tree[:] = [result[0], result[1], len(supply)]
+            checks.append(strongly_feasible(*tree))
+            return result
+
+        def checked_paths(*args):
+            checks.append(strongly_feasible(*tree))
+            return paths(*args)
+
+        monkeypatch.setattr(transport, "_least_cost_start", checked_start)
+        monkeypatch.setattr(transport, "_paths_to_common_ancestor", checked_paths)
+        rng = np.random.default_rng(33)
+        for _ in range(25):
+            m, n = (int(x) for x in rng.integers(1, 14, size=2))
+            pts = rng.integers(0, 3, size=(m, 2)).astype(float)
+            qts = rng.integers(0, 3, size=(n, 2)).astype(float)
+            cost = np.sqrt(((pts[:, None] - qts[None]) ** 2).sum(-1))
+            solve_transport(np.full(m, 1.0 / m), np.full(n, 1.0 / n), cost)
+        assert len(checks) > 50 and all(checks)
+
+    def test_solver_masses_balanced_within_tolerance(self):
+        # Totals that differ by less than the 1e-9 balance tolerance leave
+        # a line with no positive flow after the least-cost start: the
+        # third column, the transposed third row, or two small columns.
+        base = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]])
+        half = np.array([0.5, 0.5])
+        cases = [
+            (half, np.array([0.5, 0.5, 5e-10]), base),
+            (np.array([0.5, 0.5, 5e-10]), half, base.T),
+            (half, np.array([0.5, 0.5, 3e-10, 3e-10]), base[:, [0, 1, 2, 2]]),
+        ]
+        for supply, demand, cost in cases:
+            flow, total = solve_transport(supply, demand, cost)
+            m, n = cost.shape
+            assert total == 0.0
+            assert (flow >= 0).all()
+            assert np.count_nonzero(flow) <= m + n - 1
+            assert np.abs(flow.sum(axis=1) - supply).max() <= 1e-9
+            assert np.abs(flow.sum(axis=0) - demand).max() <= 1e-9
 
     def test_solver_matches_lp_oracle_at_benchmark_sizes(self):
         for supply, demand, cost in transport_instances():
