@@ -145,6 +145,13 @@ def write_manifest(out_path: str | Path, command: str, params: dict) -> Path:
     return manifest
 
 
+def _write_csv(path: str | Path, rows: list) -> None:
+    """Write rows as CSV, quoting a field that holds a comma or quote. An
+    empty row is a blank line, which ends one table; the next row is a header."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
+
+
 def _pseudo_vocab(words: list[str]) -> corpus.Vocabulary:
     """Positional vocabulary for a bare embedding file (unit counts)."""
     return corpus.Vocabulary(words=words, counts=np.ones(len(words), dtype=np.int64),
@@ -262,9 +269,7 @@ def cmd_augment(p) -> Path | str:
          Param("lr", float, sgns.TrainConfig.learning_rate, "SGD learning rate"),
          Param("batch", int, sgns.TrainConfig.batch_size, "pairs per gradient step"),
          SEED,
-         Param("init", str, "random", "initial input vectors",
-               choices=("random", "pretrained")),
-         Param("pretrained_file", str, None, "vectors read by --init pretrained"),
+         Param("pretrained_file", str, None, "vectors to start from; a random start if unset"),
          Param("binary", boolean, False, "--pretrained-file is word2vec binary"),
          Param("noise_exponent", float, sgns.TrainConfig.noise_exponent,
                "power of the counts in the noise distribution"),
@@ -272,8 +277,6 @@ def cmd_augment(p) -> Path | str:
          Param("checkpoint_every", int, 0, "write <out>.epochN snapshots every N epochs"),
          OUT)
 def cmd_train(p) -> str:
-    if p.init == "pretrained":
-        _require(p, "pretrained_file")
     config = sgns.TrainConfig(
         dim=p.dim, negatives=p.negatives, epochs=p.epochs, learning_rate=p.lr,
         batch_size=p.batch, seed=derive_seed(p.seed, "sgns"),
@@ -282,7 +285,7 @@ def cmd_train(p) -> str:
     vocab = corpus.read_vocab(p.vocab)
     dataset, _meta = pairgen.read_pairs(p.pairs)
     initial = None
-    if p.init == "pretrained":
+    if p.pretrained_file:
         initial, coverage = sgns.init_pretrained(
             vocab, p.pretrained_file, config.dim,
             derive_seed(config.seed, "sgns.init"), binary=p.binary,
@@ -296,10 +299,7 @@ def cmd_train(p) -> str:
     model, losses = sgns.train(dataset, vocab, config, initial=initial,
                                on_epoch=checkpoint)
     embed_io.write_text(p.out, vocab.words, model.input)
-    with open(p.loss_csv or f"{p.out}.loss.csv", "w", encoding="utf-8") as f:
-        f.write("epoch,mean_loss\n")
-        for epoch, loss in enumerate(losses):
-            f.write(f"{epoch},{loss!r}\n")
+    _write_csv(p.loss_csv or f"{p.out}.loss.csv", [["epoch", "mean_loss"], *enumerate(losses)])
     print(f"train: {config.epochs} epochs over {len(dataset)} pairs, "
           f"final mean loss {losses[-1]:.6f} -> {p.out}")
     return p.out
@@ -322,9 +322,7 @@ def cmd_eval_sim(p) -> str:
     rho, used = eval_intrinsic.similarity_correlation(
         model, vocab, dataset, common_vocab=common, metric=p.metric
     )
-    with open(p.out, "w", encoding="utf-8") as f:
-        f.write("dataset,pairs_used,rho\n")
-        f.write(f"{dataset.name},{used},{rho!r}\n")
+    _write_csv(p.out, [["dataset", "pairs_used", "rho"], [dataset.name, used, rho]])
     print(f"eval-sim: {dataset.name} rho={rho:.4f} over {used} pairs -> {p.out}")
     return p.out
 
@@ -349,33 +347,26 @@ def cmd_eval_pairsets(p) -> str:
     sets = eval_intrinsic.build_pairsets(
         substitutions, natural, vocab, size, derived_rng(p.seed, "pairsets")
     )
-    with open(p.out, "w", encoding="utf-8") as f:
-        f.write("set,pairs,mean,std\n")
-        for pairset in sets:
-            mean, std = eval_intrinsic.pairset_stats(model, pairset)
-            f.write(f"{pairset.kind},{len(pairset)},{mean!r},{std!r}\n")
-            print(f"eval-pairsets: {pairset.kind} mean={mean:.4f} std={std:.4f}")
+    table = [["set", "pairs", "mean", "std"]]
+    for pairset in sets:
+        mean, std = eval_intrinsic.pairset_stats(model, pairset)
+        table.append([pairset.kind, len(pairset), mean, std])
+        print(f"eval-pairsets: {pairset.kind} mean={mean:.4f} std={std:.4f}")
+    _write_csv(p.out, table)
     return p.out
 
 
 @command("eval-wmd", "KNN document classification over Word Mover's Distance",
          MODEL, Param("docs", str, REQUIRED, "root of <class>/<doc> text files"),
-         Param("split", str, None, "manifest of <class>/<doc>\\t<train|test> lines"),
-         Param("mode", str, "loo", "leave-one-out over all docs, or train/test split",
-               choices=("loo", "split")),
+         Param("split", str, None, "manifest of <class>/<doc>\\t<train|test> lines; "
+               "leave-one-out over all docs if unset"),
          Param("k", int, 10, "neighbours that vote"),
-         Param("prune", boolean, True, "skip exact solves the WCD/RWMD bounds rule out"),
          OUT)
 def cmd_eval_wmd(p) -> str:
-    if p.mode == "split":
-        _require(p, "split")
     model, vocab = _load_model(p.model)
     split = eval_extrinsic.read_split_manifest(p.split) if p.split else None
     loaded = eval_extrinsic.load_classification_corpus(p.docs, vocab, split=split)
-    if p.mode == "loo":
-        test_docs, train_docs, loo = loaded.train, loaded.train, True
-    else:
-        test_docs, train_docs, loo = loaded.test, loaded.train, False
+    test_docs = loaded.train if split is None else loaded.test
     if not test_docs:
         raise ValueError(
             f"no documents to classify: {p.split or p.docs} leaves {len(loaded.train)} train, "
@@ -383,16 +374,13 @@ def cmd_eval_wmd(p) -> str:
             "unassigned documents"
         )
     predictions, _ = eval_extrinsic.knn_classify(
-        model, test_docs, train_docs, k=p.k, prune=p.prune, leave_one_out=loo,
+        model, test_docs, loaded.train, k=p.k, leave_one_out=split is None,
     )
     correct = sum(pred == d.label for pred, d in zip(predictions, test_docs))
     acc, half_width = eval_extrinsic.accuracy_ci(correct, len(test_docs))
-    with open(p.out, "w", encoding="utf-8") as f:
-        f.write("doc_id,true_label,predicted_label\n")
-        for doc, pred in zip(test_docs, predictions):
-            f.write(f"{doc.doc_id},{doc.label},{pred}\n")
-        f.write("accuracy,half_width,n\n")
-        f.write(f"{acc!r},{half_width!r},{len(test_docs)}\n")
+    _write_csv(p.out, [["doc_id", "true_label", "predicted_label"],
+                       *([d.doc_id, d.label, pred] for d, pred in zip(test_docs, predictions)),
+                       [], ["accuracy", "half_width", "n"], [acc, half_width, len(test_docs)]])
     print(f"eval-wmd: accuracy {acc:.4f} (+/- {half_width:.4f}) over "
           f"{len(test_docs)} docs ({loaded.skipped} skipped, {loaded.unassigned} unassigned) "
           f"-> {p.out}")
@@ -406,13 +394,17 @@ def cmd_report(p) -> str:
     for path in p.inputs:
         with open(path, encoding="utf-8", newline="") as f:
             header: list[str] | None = None
-            for record in csv.reader(f):
-                if not record:
-                    continue
-                if header is None or len(record) != len(header):
+            reader = csv.reader(f)
+            for record in reader:
+                if not record:  # a blank line ends a table; the next line is a header
+                    header = None
+                elif header is None:
                     header = record
-                    continue
-                rows.append({"source": path, **dict(zip(header, record))})
+                elif len(record) != len(header):
+                    raise ValueError(f"{path}:{reader.line_num}: {len(record)} fields under "
+                                     f"a header of {len(header)}")
+                else:
+                    rows.append({"source": path, **dict(zip(header, record))})
     if p.json:
         with open(p.out, "w", encoding="utf-8") as f:
             json.dump(rows, f, indent=2)
@@ -439,7 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"synvec {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in COMMANDS.items():
-        p = sub.add_parser(name, help=cmd.help)
+        # Flags must be spelled in full, so an unknown flag that is a prefix
+        # of a real one (`--mode` of `--model`) is a usage error, not an alias.
+        p = sub.add_parser(name, help=cmd.help, allow_abbrev=False)
         p.add_argument("--config", help="key = value file supplying defaults")
         for row in cmd.params:
             text = row.help

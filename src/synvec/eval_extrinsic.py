@@ -69,36 +69,21 @@ def ground_cost(model: EmbeddingModel, i: int, j: int) -> float:
     return float(np.sqrt(diff @ diff))
 
 
-# Largest scratch tile, in float64 entries (2 MB, about one core's L2
-# cache): on a 2-core Xeon with 2 MB of L2 per core, KNN's per-query cost
-# blocks took about 20% less time than with an 8.6 MB tile (the difference
-# array of a 60x60-word pair at d=300).
-_TILE_ENTRIES = 1 << 18
-
-
 def _pairwise_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of a and the rows of b.
 
     Explicit differences, not the |a|^2+|b|^2-2ab expansion: the latter
     cancels catastrophically near zero distance (identical words would
-    get cost ~1e-8 instead of 0). Tiles over rows and columns reuse one
-    scratch buffer of at most _TILE_ENTRIES entries (or one row of d);
-    every entry is the same subtract, square, sum over d and sqrt, so the
-    result does not depend on the tiling.
+    get cost ~1e-8 instead of 0). One row of a at a time goes through one
+    reused (len(b), d) buffer; every entry is the same subtract, square,
+    sum over d and sqrt.
     """
-    m, n, d = len(a), len(b), a.shape[1]
-    out = np.empty((m, n))
-    cols = max(1, min(n, _TILE_ENTRIES // d))
-    rows = max(1, min(m, _TILE_ENTRIES // (cols * d)))
-    scratch = np.empty(rows * cols * d)
-    for j in range(0, n, cols):
-        b_tile = b[j:j + cols]
-        for i in range(0, m, rows):
-            a_tile = a[i:i + rows]
-            tile = scratch[:len(a_tile) * len(b_tile) * d].reshape(len(a_tile), len(b_tile), d)
-            np.subtract(a_tile[:, None, :], b_tile[None, :, :], out=tile)
-            np.multiply(tile, tile, out=tile)
-            np.sum(tile, axis=-1, out=out[i:i + rows, j:j + cols])
+    out = np.empty((len(a), len(b)))
+    diff = np.empty(b.shape)
+    for row, dist in zip(a, out):
+        np.subtract(row, b, out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.sum(diff, axis=-1, out=dist)
     np.sqrt(out, out=out)
     return out
 
@@ -171,9 +156,10 @@ def accuracy_ci(correct: int, total: int, level: float = 0.95) -> tuple[float, f
 def _k_nearest(model, test_doc, train_docs, k, prune, skip_index=None):
     """Indices and distances of the k training docs nearest to test_doc.
 
-    Returned sorted by (distance, index); with ``prune`` the wcd/rwmd
-    lower bounds skip exact WMD solves that provably cannot enter the
-    result, which therefore matches exhaustive search exactly. The ground
+    Returned sorted by (distance, index). With ``prune`` the candidates are
+    visited by (wcd, index), and once k are held a candidate whose rwmd
+    lower bound exceeds the k-th distance is skipped without an exact
+    solve, so the result matches exhaustive search exactly. The ground
     costs from test_doc to every candidate word are built once, as one
     (len(test_doc.ids), len(cols)) block, and sliced per candidate.
     """
@@ -181,26 +167,17 @@ def _k_nearest(model, test_doc, train_docs, k, prune, skip_index=None):
     k = min(k, len(candidates))
     cols = np.unique(np.concatenate([train_docs[i].ids for i in candidates]))
     block = _pairwise_cost(model.input[test_doc.ids], model.input[cols])
-
-    def cost(i):
-        return block[:, np.searchsorted(cols, train_docs[i].ids)]
-
-    if not prune:
-        dists = [(wmd(model, test_doc, train_docs[i], cost=cost(i))[0], i) for i in candidates]
-        dists.sort()
-        return dists[:k]
-    order = sorted(candidates, key=lambda i: (wcd(model, test_doc, train_docs[i]), i))
-    best = [(wmd(model, test_doc, train_docs[i], cost=cost(i))[0], i) for i in order[:k]]
-    best.sort()
-    kth = best[-1][0]
-    for i in order[k:]:
-        pair_cost = cost(i)
-        if rwmd(model, test_doc, train_docs[i], cost=pair_cost) > kth:
+    if prune:
+        candidates.sort(key=lambda i: (wcd(model, test_doc, train_docs[i]), i))
+    best: list[tuple[float, int]] = []
+    for i in candidates:
+        doc = train_docs[i]
+        cost = block[:, np.searchsorted(cols, doc.ids)]
+        if prune and len(best) == k and rwmd(model, test_doc, doc, cost=cost) > best[-1][0]:
             continue
-        best.append((wmd(model, test_doc, train_docs[i], cost=pair_cost)[0], i))
+        best.append((wmd(model, test_doc, doc, cost=cost)[0], i))
         best.sort()
-        best.pop()
-        kth = best[-1][0]
+        del best[k:]
     return best
 
 
@@ -222,12 +199,14 @@ def knn_classify(
     test_docs: Sequence[NBowDocument],
     train_docs: Sequence[NBowDocument],
     k: int = 10,
-    prune: bool = False,
+    prune: bool = True,
     leave_one_out: bool = False,
 ) -> tuple[list, float]:
     """Predict a label for each test document by majority vote of its
     k WMD-nearest training documents.
 
+    ``prune`` only saves exact solves and never changes a prediction;
+    ``prune=False`` is the exhaustive reference that tests compare with.
     With ``leave_one_out`` the i-th test document is assumed to be the
     i-th training document and is excluded from its own neighbourhood.
     Returns (predictions, accuracy over documents with a true label).

@@ -144,13 +144,11 @@ def generate_pairs(encoded: EncodedCorpus, C: int, seed: int) -> PairDataset:
 def write_pairs(path: str | Path, dataset: PairDataset, meta: dict | None = None) -> None:
     """Write `<focus> <context> <position> <origin>` lines under a `#pairs v1` header."""
     fields = " ".join(f"{k}={v}" for k, v in (meta or {}).items())
+    columns = (dataset.focus.tolist(), dataset.context.tolist(),
+               dataset.position.tolist(), dataset.origin.tolist())
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"#pairs v1 {fields}".rstrip() + "\n")
-        for i in range(len(dataset)):
-            f.write(
-                f"{dataset.focus[i]} {dataset.context[i]} "
-                f"{dataset.position[i]} {dataset.origin[i]}\n"
-            )
+        f.writelines(f"{a} {b} {c} {o}\n" for a, b, c, o in zip(*columns))
 
 
 def read_pairs(path: str | Path) -> tuple[PairDataset, dict[str, str]]:

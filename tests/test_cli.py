@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -98,7 +100,7 @@ class TestPipeline:
             (docs / klass / "d1.txt").write_text(text)
             (docs / klass / "d2.txt").write_text(text.replace(".", " a."))
         assert run(["eval-wmd", "--model", d / "model.txt", "--docs", docs,
-                    "--mode", "loo", "--k", "1", "--out", d / "wmd.csv"]) == 0
+                    "--k", "1", "--out", d / "wmd.csv"]) == 0
         wmd_lines = (d / "wmd.csv").read_text().splitlines()
         assert wmd_lines[0] == "doc_id,true_label,predicted_label"
         assert wmd_lines[-2] == "accuracy,half_width,n"
@@ -157,7 +159,7 @@ class TestPipeline:
                               + "the " + " ".join(["-0.5"] * 8) + "\n")
         assert run(["train", "--pairs", d / "pairs.txt", "--vocab", d / "vocab.tsv",
                     "--dim", "8", "--epochs", "1", "--seed", "7",
-                    "--init", "pretrained", "--pretrained-file", pretrained,
+                    "--pretrained-file", pretrained,
                     "--out", d / "model_pre.txt"]) == 0
         assert "coverage" in capsys.readouterr().out
         assert (d / "model_pre.txt").exists()
@@ -212,12 +214,14 @@ class TestPipeline:
             "gems/d0.txt\ttrain\ngems/d1.txt\ttrain\ngems/d2.txt\ttest\n"
             "boats/d0.txt\ttrain\nboats/d1.txt\ttrain\nboats/d2.txt\ttest\n"
         )
+        # --split alone selects split mode: only the two test docs are classified.
         assert run(["eval-wmd", "--model", d / "model.txt", "--docs", docs,
-                    "--split", split, "--mode", "split", "--k", "1",
-                    "--out", d / "wmd_split.csv"]) == 0
+                    "--split", split, "--k", "1", "--out", d / "wmd_split.csv"]) == 0
         lines = (d / "wmd_split.csv").read_text().splitlines()
-        assert len(lines) == 1 + 2 + 2  # header, two test docs, summary pair
-        assert lines[-1].endswith(",2")
+        assert len(lines) == 1 + 2 + 1 + 2  # header, two test docs, blank, summary pair
+        assert lines == ["doc_id,true_label,predicted_label",
+                         "boats/d2.txt,boats,boats", "gems/d2.txt,gems,gems", "",
+                         "accuracy,half_width,n", "1.0,0.0,2"]
 
     def test_eval_wmd_split_without_test_documents(self, pipeline_dir, capsys):
         d = pipeline_dir
@@ -231,7 +235,7 @@ class TestPipeline:
         # The only test line names a document that does not exist.
         split.write_text("gems/d0.txt\ttrain\nboats/d0.txt\ttrain\nboats/d9.txt\ttest\n")
         args = ["eval-wmd", "--model", d / "model.txt", "--docs", docs,
-                "--split", split, "--mode", "split", "--k", "1", "--out"]
+                "--split", split, "--k", "1", "--out"]
         capsys.readouterr()
         assert run(args + [d / "none.csv"]) == 1
         err = capsys.readouterr().err
@@ -242,6 +246,65 @@ class TestPipeline:
         split.write_text("gems/d0.txt\ttrain\nboats/d0.txt\ttrain\nboats/d1.txt\ttest\n")
         assert run(args + [d / "one.csv"]) == 0
         assert "1 docs (0 skipped, 1 unassigned)" in capsys.readouterr().out
+
+    def test_old_config_keys_are_ignored(self, pipeline_dir, capsys):
+        """Configs written before `mode`, `prune` and `init` were removed still
+        run: the split file alone selects split mode, and the pretrained file
+        alone selects the pretrained start."""
+        d = pipeline_dir
+        prepare(d)
+        docs = d / "docs4"
+        for klass, text in [("gems", "gem jewel stone gem."), ("boats", "boat ship boat the.")]:
+            (docs / klass).mkdir(parents=True)
+            for i in range(2):
+                (docs / klass / f"d{i}.txt").write_text(text)
+        split = d / "split.tsv"
+        split.write_text("gems/d0.txt\ttrain\ngems/d1.txt\ttest\n"
+                         "boats/d0.txt\ttrain\nboats/d1.txt\ttest\n")
+        assert run(["eval-wmd", "--model", d / "model.txt", "--docs", docs, "--split", split,
+                    "--k", "1", "--out", d / "flags.csv"]) == 0
+        config = d / "old.cfg"
+        config.write_text(f"model = {d / 'model.txt'}\ndocs = {docs}\nsplit = {split}\n"
+                          "k = 1\nmode = loo\nprune = false\n")
+        assert run(["eval-wmd", "--config", config, "--out", d / "config.csv"]) == 0
+        assert (d / "config.csv").read_bytes() == (d / "flags.csv").read_bytes()
+
+        pretrained = d / "pre.txt"
+        pretrained.write_text("1 8\ngem " + " ".join(["0.25"] * 8) + "\n")
+        config.write_text(f"pairs = {d / 'pairs.txt'}\nvocab = {d / 'vocab.tsv'}\ndim = 8\n"
+                          f"epochs = 1\ninit = random\npretrained_file = {pretrained}\n")
+        capsys.readouterr()
+        assert run(["train", "--config", config, "--out", d / "model_pre.txt"]) == 0
+        assert "pretrained coverage" in capsys.readouterr().out
+
+    def test_report_reads_eval_wmd_tables(self, pipeline_dir):
+        """A doc id holding a comma is quoted, and the accuracy table after the
+        blank line gets its own header."""
+        d = pipeline_dir
+        prepare(d)
+        docs = d / "docs5"
+        for klass, text in [("gems", "gem jewel stone gem."), ("boats", "boat ship boat the.")]:
+            (docs / klass).mkdir(parents=True)
+            for name in ("d1.txt", "d,2.txt"):
+                (docs / klass / name).write_text(text)
+        assert run(["eval-wmd", "--model", d / "model.txt", "--docs", docs, "--k", "1",
+                    "--out", d / "wmd.csv"]) == 0
+        assert run(["report", d / "wmd.csv", "--json", "--out", d / "report.json"]) == 0
+        rows = json.loads((d / "report.json").read_text())
+        assert [(r["doc_id"], r["true_label"]) for r in rows[:4]] == [
+            ("boats/d,2.txt", "boats"), ("boats/d1.txt", "boats"),
+            ("gems/d,2.txt", "gems"), ("gems/d1.txt", "gems")]
+        assert all(set(r) == {"source", "doc_id", "true_label", "predicted_label"}
+                   for r in rows[:4])
+        assert len(rows) == 5
+        assert set(rows[4]) == {"source", "accuracy", "half_width", "n"}
+        assert rows[4]["n"] == "4"
+
+    def test_report_rejects_row_of_wrong_width(self, tmp_path, capsys):
+        table = tmp_path / "t.csv"
+        table.write_text("a,b\n1,2\n\nc\n3\n4,5\n")
+        assert run(["report", table, "--out", tmp_path / "r.csv"]) == 1
+        assert f"{table}:6: 2 fields under a header of 1" in capsys.readouterr().err
 
     def test_ratio_sweep_explicit_list(self, pipeline_dir):
         d = pipeline_dir
@@ -300,8 +363,7 @@ class TestPipeline:
             "mixed.txt": ["augment", "--pairs", d / "pairs.txt", "--vocab", d / "vocab.tsv",
                           "--lexicon", d / "syn.tsv", "--ratio", "0.25", "--seed", "7"],
             "sim.csv": ["eval-sim", "--model", d / "model.txt", "--dataset", simfile],
-            "wmd.csv": ["eval-wmd", "--model", d / "model.txt", "--docs", docs,
-                        "--mode", "loo", "--k", "1"],
+            "wmd.csv": ["eval-wmd", "--model", d / "model.txt", "--docs", docs, "--k", "1"],
             "model2.txt": ["train", "--pairs", d / "pairs.txt", "--vocab", d / "vocab.tsv",
                            "--dim", "8", "--epochs", "1", "--seed", "7"],
         }
@@ -418,17 +480,16 @@ class TestExitCodes:
     def test_derived_flag_spellings(self, capsys):
         for name, flags in [("gen-pairs", ["--context-size", "-C", "(default: 5)"]),
                             ("augment", ["--ratio-sweep", "--out-dir"]),
-                            ("eval-wmd", ["--prune", "--no-prune", "{loo,split}"])]:
+                            ("train", ["--binary", "--no-binary"]),
+                            ("eval-sim", ["{cosine,euclidean}"])]:
             with pytest.raises(SystemExit):
                 main([name, "--help"])
             out = capsys.readouterr().out
             for flag in flags:
                 assert flag in out
 
-    @pytest.mark.parametrize("command,line", [("eval-wmd", "mode = bogus"),
-                                              ("train", "init = bogus"),
-                                              ("eval-sim", "metric = bogus"),
-                                              ("eval-wmd", "prune = maybe")])
+    @pytest.mark.parametrize("command,line", [("eval-sim", "metric = bogus"),
+                                              ("train", "binary = maybe")])
     def test_bad_config_value_is_usage_error(self, tmp_path, command, line):
         config = tmp_path / "bad.cfg"
         config.write_text("model = m\ndocs = d\npairs = p\nvocab = v\ndataset = s\n"
@@ -440,10 +501,26 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["augment", "--pairs", "p", "--vocab", "v", "--lexicon", "l", "--out", "o"],
         ["augment", "--pairs", "p", "--vocab", "v", "--lexicon", "l", "--ratio-sweep", "0"],
-        ["train", "--pairs", "p", "--vocab", "v", "--init", "pretrained", "--out", "o"],
-        ["eval-wmd", "--model", "m", "--docs", "d", "--mode", "split", "--out", "o"],
     ])
     def test_parameter_needed_by_another_is_usage_error(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["eval-wmd", "--model", "m", "--docs", "d", "--mode", "loo", "--out", "o"],
+        ["eval-wmd", "--model", "m", "--docs", "d", "--no-prune", "--out", "o"],
+        ["train", "--pairs", "p", "--vocab", "v", "--init", "pretrained", "--out", "o"],
+    ])
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        # Without full spelling, `--mode` would be taken for `--model`.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_option_budget(self):
+        total = sum(len(cmd.params) for cmd in cli.COMMANDS.values())
+        assert total == 54, (
+            f"the CLI now has {total} settable values, not 54; if that is intended, "
+            "update this number and say in CHANGES.md why the option is needed")

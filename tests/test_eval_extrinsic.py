@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from synvec import eval_extrinsic, transport
+from synvec import transport
 from synvec.eval_extrinsic import (
     NBowDocument,
     _cost_matrix,
@@ -107,12 +107,7 @@ class TestGroundCost:
         model = model_from_matrix(np.random.default_rng(1).normal(size=(5, 4)))
         assert ground_cost(model, 1, 3) == ground_cost(model, 3, 1)
 
-    @pytest.mark.parametrize("tile_entries", [None, 1, 7, 64])
-    def test_cost_matrix_bitwise_equals_row_formula(self, monkeypatch, tile_entries):
-        # Tiling splits rows and columns, never the sum over dimensions,
-        # so every entry must carry the bits of the untiled formula.
-        if tile_entries is not None:
-            monkeypatch.setattr(eval_extrinsic, "_TILE_ENTRIES", tile_entries)
+    def test_cost_matrix_bitwise_equals_row_formula(self):
         rng = np.random.default_rng(2)
         model = model_from_matrix(rng.normal(size=(40, 9)))
         for m, n in [(1, 1), (1, 40), (40, 1), (7, 13), (23, 31)]:
@@ -443,7 +438,7 @@ class TestKNN:
 
     @pytest.mark.parametrize("vocab_size, dim, n_train, support", [
         (30, 5, 40, 6),
-        # A candidate union wider than one scratch tile's columns at d=300.
+        # A candidate union of several hundred words at d=300.
         (3000, 300, 30, 100),
     ])
     def test_k_nearest_bitwise_equals_per_pair_wmd(self, vocab_size, dim, n_train, support):
@@ -454,9 +449,6 @@ class TestKNN:
         train[2] = NBowDocument(ids=[int(train[0].ids[0])], weights=[1.0])  # duplicate of 1
         train[3] = NBowDocument(ids=train[0].ids, weights=train[0].weights[::-1].copy())
         test = [train[0], train[1], random_doc(rng, vocab_size, max_support=40)]
-        union = np.unique(np.concatenate([d.ids for d in train]))
-        if dim == 300:
-            assert len(union) > eval_extrinsic._TILE_ENTRIES // dim
         for doc, skip in [(test[0], None), (test[0], 0), (test[1], 1), (test[2], None)]:
             reference = sorted((wmd(model, doc, other)[0], i)
                                for i, other in enumerate(train) if i != skip)[:5]

@@ -130,6 +130,13 @@ class TestPairFile:
         write_pairs(path, PairDataset.empty(), meta={"C": 5, "seed": 1})
         assert path.read_text().splitlines()[0] == "#pairs v1 C=5 seed=1"
 
+    def test_golden_bytes(self, tmp_path):
+        ds = PairDataset([0, 12, 7], [3, 0, 12], [1, 2, 5], ["N", "A", "N"])
+        path = tmp_path / "pairs.txt"
+        write_pairs(path, ds, meta={"C": 5, "seed": 1, "ratio": 0.25})
+        assert path.read_bytes() == (b"#pairs v1 C=5 seed=1 ratio=0.25\n"
+                                     b"0 3 1 N\n12 0 2 A\n7 12 5 N\n")
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "pairs.txt"
         path.write_text("0 1 1 N\n")
