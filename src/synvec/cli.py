@@ -42,6 +42,19 @@ def boolean(raw: str) -> bool:
     raise ValueError(f"cannot interpret {raw!r} as a boolean")
 
 
+def pair_set_sizes(raw: str) -> int | tuple[int, int, int]:
+    """`--size`: one positive pair count for all sets, or syn,ctx,rand."""
+    sizes = tuple(int(s) for s in raw.split(","))
+    if len(sizes) not in (1, 3) or min(sizes) < 1:
+        raise ValueError(f"expected one positive integer or three, got {raw!r}")
+    return sizes[0] if len(sizes) == 1 else sizes
+
+
+def sweep_ratios(raw: str) -> str | tuple[float, ...]:
+    """`--ratio-sweep`: `standard` or comma-separated ratios."""
+    return raw if raw == "standard" else tuple(float(r) for r in raw.split(","))
+
+
 def file_list(raw: str) -> list[str]:
     """Config-file spelling of the positional file list: shell words, so a
     path with spaces is quoted."""
@@ -139,8 +152,10 @@ def write_manifest(out_path: str | Path, command: str, params: dict) -> Path:
         f.write(f"command = {command}\n")
         for key in sorted(params):
             value = params[key]
-            if isinstance(value, (list, tuple)):
-                value = shlex.join(str(v) for v in value)
+            if isinstance(value, list):  # the positional file list, as shell words
+                value = shlex.join(value)
+            elif isinstance(value, tuple):  # numbers, comma-separated as on the flag
+                value = ",".join(map(str, value))
             f.write(f"{key} = {value}\n")
     return manifest
 
@@ -152,17 +167,12 @@ def _write_csv(path: str | Path, rows: list) -> None:
         csv.writer(f, lineterminator="\n").writerows(rows)
 
 
-def _pseudo_vocab(words: list[str]) -> corpus.Vocabulary:
-    """Positional vocabulary for a bare embedding file (unit counts)."""
-    return corpus.Vocabulary(words=words, counts=np.ones(len(words), dtype=np.int64),
-                             min_count=1)
-
-
-def _load_model(path: str, binary: bool = False):
-    words, matrix = (embed_io.read_binary if binary else embed_io.read_text)(path)
-    matrix = matrix.astype(np.float64)
+def _load_model(path: str):
+    """A text embedding file as a model and its positional vocabulary (unit counts)."""
+    words, matrix = embed_io.read_text(path)
     model = sgns.EmbeddingModel(input=matrix, output=np.zeros_like(matrix))
-    return model, _pseudo_vocab(words)
+    return model, corpus.Vocabulary(words=words, counts=np.ones(len(words), dtype=np.int64),
+                                    min_count=1)
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -209,7 +219,7 @@ def cmd_gen_pairs(p) -> str:
 @command("augment", "mix synonym-augmented pairs into the dataset",
          PAIRS, VOCAB, Param("lexicon", str, REQUIRED, "synonym lexicon (#synlex v1)"),
          Param("ratio", float, None, "augmented fraction of the mix; writes --out"),
-         Param("ratio_sweep", str, None,
+         Param("ratio_sweep", sweep_ratios, None,
                "'standard' (the preset ratios the pool reaches) or comma-separated "
                "ratios; writes to --out-dir"),
          Param("out_dir", str, None, "directory of the --ratio-sweep pair files"),
@@ -220,8 +230,7 @@ def cmd_augment(p) -> Path | str:
         ratios, anchor = [p.ratio], p.out
     else:
         _require(p, "out_dir")
-        ratios = (augment.RATIO_SWEEP if p.ratio_sweep == "standard"
-                  else [float(r) for r in p.ratio_sweep.split(",")])
+        ratios = augment.RATIO_SWEEP if p.ratio_sweep == "standard" else p.ratio_sweep
         out_dir = Path(p.out_dir)
         anchor = out_dir / "augment"
     plans = [augment.AugmentationPlan(ratio=r, seed=derive_seed(p.seed, "augment.mix"))
@@ -307,17 +316,12 @@ def cmd_train(p) -> str:
 
 @command("eval-sim", "similarity-distance rank correlation",
          MODEL, Param("dataset", str, REQUIRED, "word-pair similarity file"),
-         Param("dataset_format", str, "wordsim", "layout of --dataset",
-               choices=("simlex", "wordsim")),
-         Param("name", str, None, "dataset name in the output, the file stem if unset"),
          Param("metric", str, "cosine", "vector distance", choices=("cosine", "euclidean")),
          Param("common_vocab", str, None, "vocabulary that every scored word must be in"),
          OUT)
 def cmd_eval_sim(p) -> str:
     model, vocab = _load_model(p.model)
-    load = (eval_intrinsic.load_simlex if p.dataset_format == "simlex"
-            else eval_intrinsic.load_wordsim)
-    dataset = load(p.dataset, name=p.name or Path(p.dataset).stem)
+    dataset = eval_intrinsic.load_similarity(p.dataset)
     common = corpus.read_vocab(p.common_vocab) if p.common_vocab else None
     rho, used = eval_intrinsic.similarity_correlation(
         model, vocab, dataset, common_vocab=common, metric=p.metric
@@ -329,10 +333,9 @@ def cmd_eval_sim(p) -> str:
 
 @command("eval-pairsets", "distance stats over synonym/contextual/random pairs",
          MODEL, PAIRS, Param("subs", str, REQUIRED, "substitution records from augment"),
-         VOCAB, Param("size", str, "1000", "pairs per set: one value or syn,ctx,rand"),
+         VOCAB, Param("size", pair_set_sizes, 1000, "pairs per set: one value or syn,ctx,rand"),
          SEED, OUT)
 def cmd_eval_pairsets(p) -> str:
-    size = (tuple(int(s) for s in p.size.split(",")) if "," in p.size else int(p.size))
     model, model_vocab = _load_model(p.model)
     vocab = corpus.read_vocab(p.vocab)
     if model_vocab.words != vocab.words:
@@ -345,7 +348,7 @@ def cmd_eval_pairsets(p) -> str:
     natural = dataset.by_origin(pairgen.ORIGIN_NATURAL)
     substitutions = augment.read_substitutions(p.subs)
     sets = eval_intrinsic.build_pairsets(
-        substitutions, natural, vocab, size, derived_rng(p.seed, "pairsets")
+        substitutions, natural, vocab, p.size, derived_rng(p.seed, "pairsets")
     )
     table = [["set", "pairs", "mean", "std"]]
     for pairset in sets:
@@ -409,13 +412,8 @@ def cmd_report(p) -> str:
         with open(p.out, "w", encoding="utf-8") as f:
             json.dump(rows, f, indent=2)
     else:
-        keys = ["source"]
-        for row in rows:
-            keys.extend(k for k in row if k not in keys)
-        with open(p.out, "w", encoding="utf-8", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=keys, restval="")
-            writer.writeheader()
-            writer.writerows(rows)
+        keys = list(dict.fromkeys(["source", *(k for row in rows for k in row)]))
+        _write_csv(p.out, [keys, *([row.get(k, "") for k in keys] for row in rows)])
     print(f"report: merged {len(rows)} rows from {len(p.inputs)} files -> {p.out}")
     return p.out
 

@@ -60,19 +60,26 @@ def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(1.0 - (u @ v) / (nu * nv))
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of row i of `a` with row i of `b`, with the bits of `u @ v`."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _cosine_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`cosine_distance` of row i of `a` to row i of `b`, bit for bit."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    na = np.sqrt(_row_dots(a, a))
+    nb = np.sqrt(_row_dots(b, b))
+    if (na == 0.0).any() or (nb == 0.0).any():
+        raise ValueError("cosine distance is undefined for a zero vector")
+    return 1.0 - _row_dots(a, b) / (na * nb)
+
+
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks; ties share the average of the ranks they occupy."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x), dtype=np.float64)
-    sorted_x = x[order]
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
 
 def spearman_rho(xs, ys) -> float:
@@ -83,6 +90,8 @@ def spearman_rho(xs, ys) -> float:
         raise ValueError("inputs must be 1-D sequences of equal length")
     if len(xs) < 2:
         raise ValueError("need at least 2 observations")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("inputs must be finite")
     if (xs == xs[0]).all() or (ys == ys[0]).all():
         raise ValueError("correlation is undefined for constant input")
     rx = _average_ranks(xs) - (len(xs) + 1) / 2.0
@@ -116,14 +125,13 @@ def similarity_correlation(
         raise ValueError(
             f"only {len(usable)} dataset pairs are covered by the vocabulary"
         )
-    distances = np.empty(len(usable))
-    for idx, (w1, w2, _) in enumerate(usable):
-        u = model.input[vocab.id(w1)]
-        v = model.input[vocab.id(w2)]
-        if metric == "cosine":
-            distances[idx] = cosine_distance(u, v)
-        else:
-            distances[idx] = np.sqrt((u - v) @ (u - v))
+    ids = np.array([(vocab.id(w1), vocab.id(w2)) for w1, w2, _ in usable], dtype=np.int64)
+    a, b = model.input[ids.T]
+    if metric == "cosine":
+        distances = _cosine_distances(a, b)
+    else:
+        diff = a - b
+        distances = np.sqrt(_row_dots(diff, diff))
     scores = np.array([score for _, _, score in usable])
     return spearman_rho(distances, scores), len(usable)
 
@@ -132,13 +140,7 @@ def pairset_stats(model: EmbeddingModel, pairset: PairSet) -> tuple[float, float
     """Population mean and standard deviation of pairwise cosine distances."""
     if len(pairset) == 0:
         raise ValueError("pair set is empty")
-    a = model.input[pairset.pairs[:, 0]]
-    b = model.input[pairset.pairs[:, 1]]
-    na = np.sqrt((a * a).sum(1))
-    nb = np.sqrt((b * b).sum(1))
-    if (na == 0).any() or (nb == 0).any():
-        raise ValueError("cosine distance is undefined for a zero vector")
-    distances = 1.0 - (a * b).sum(1) / (na * nb)
+    distances = _cosine_distances(*model.input[pairset.pairs.T])
     return float(distances.mean()), float(distances.std())
 
 
@@ -213,63 +215,42 @@ def _subsample(pool: np.ndarray, size: int, rng: np.random.Generator, kind: str)
 # --- similarity dataset files -------------------------------------------------
 
 
-def _dedup(pairs: list[tuple[str, str, float]], name: str) -> SimilarityDataset:
-    seen: set[tuple[str, str]] = set()
-    unique = []
-    for w1, w2, score in pairs:
-        key = (min(w1, w2), max(w1, w2))
-        if key in seen:
-            continue
-        seen.add(key)
-        unique.append((w1, w2, score))
-    return SimilarityDataset(pairs=unique, name=name)
+def load_similarity(path: str | Path) -> SimilarityDataset:
+    """Read human-scored word pairs, named after the file stem.
 
-
-def load_simlex(path: str | Path, name: str = "simlex999") -> SimilarityDataset:
-    """Read the SimLex-style TSV: a header naming word1, word2 and SimLex999."""
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().rstrip("\n").split("\t")
-        try:
-            col1 = header.index("word1")
-            col2 = header.index("word2")
-            col_score = header.index("SimLex999")
-        except ValueError:
-            raise ParseError(path, 1, f"header must name word1, word2, SimLex999; got {header}")
-        pairs = []
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) <= max(col1, col2, col_score):
-                raise ParseError(path, lineno, f"expected {len(header)} columns")
-            try:
-                score = float(fields[col_score])
-            except ValueError:
-                raise ParseError(path, lineno, f"non-numeric score {fields[col_score]!r}")
-            if not np.isfinite(score):
-                raise ParseError(path, lineno, f"non-finite score {fields[col_score]!r}")
-            pairs.append((fields[col1].lower(), fields[col2].lower(), score))
-    return _dedup(pairs, name)
-
-
-def load_wordsim(path: str | Path, name: str = "wordsim353") -> SimilarityDataset:
-    """Read `word1\\tword2\\tscore` rows; a leading header line is tolerated."""
+    A first line with a tab field `SimLex999` is a SimLex-999 header naming the
+    `word1`, `word2` and score columns. Otherwise rows are `word1 word2 score`,
+    split on tabs if the line has one and else on whitespace, and a first line
+    whose score does not parse is a header. Blank and `#` lines are skipped.
+    Words are lowercased; the first copy of an unordered duplicate pair is kept.
+    """
+    cols = (0, 1, 2)  # word1, word2, score
     pairs = []
+    seen: set[tuple[str, str]] = set()
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
             fields = line.split("\t") if "\t" in line else line.split()
-            if len(fields) < 3:
-                raise ParseError(path, lineno, f"expected 3 columns, got {line!r}")
+            if lineno == 1 and "\t" in line and "SimLex999" in fields:
+                if "word1" not in fields or "word2" not in fields:
+                    raise ParseError(path, 1, f"SimLex999 header lacks word1 or word2: {fields}")
+                cols = tuple(fields.index(c) for c in ("word1", "word2", "SimLex999"))
+                continue
+            if not line.strip() or line.startswith("#"):
+                continue
+            if len(fields) <= max(cols):
+                raise ParseError(path, lineno, f"expected {max(cols) + 1} columns, got {line!r}")
             try:
-                score = float(fields[2])
+                score = float(fields[cols[2]])
             except ValueError:
                 if lineno == 1:
                     continue  # header line
-                raise ParseError(path, lineno, f"non-numeric score {fields[2]!r}")
+                raise ParseError(path, lineno, f"non-numeric score {fields[cols[2]]!r}")
             if not np.isfinite(score):
-                raise ParseError(path, lineno, f"non-finite score {fields[2]!r}")
-            pairs.append((fields[0].lower(), fields[1].lower(), score))
-    return _dedup(pairs, name)
+                raise ParseError(path, lineno, f"non-finite score {fields[cols[2]]!r}")
+            w1, w2 = fields[cols[0]].lower(), fields[cols[1]].lower()
+            key = (min(w1, w2), max(w1, w2))
+            if key not in seen:
+                seen.add(key)
+                pairs.append((w1, w2, score))
+    return SimilarityDataset(pairs=pairs, name=Path(path).stem)

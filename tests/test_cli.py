@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,7 +82,7 @@ class TestPipeline:
         simfile = d / "sim.tsv"
         simfile.write_text("gem\tjewel\t9.5\ngem\tstone\t5.0\nboat\tship\t9.0\n")
         assert run(["eval-sim", "--model", d / "model.txt", "--dataset", simfile,
-                    "--dataset-format", "wordsim", "--out", d / "sim.csv"]) == 0
+                    "--out", d / "sim.csv"]) == 0
         sim_lines = (d / "sim.csv").read_text().splitlines()
         assert sim_lines[0] == "dataset,pairs_used,rho"
         assert sim_lines[1].startswith("sim,3,")
@@ -196,6 +199,18 @@ class TestPipeline:
         # (boat, ship) is filtered out by the common vocabulary
         assert (d / "sim.csv").read_text().splitlines()[1].startswith("sim,2,")
 
+    def test_eval_sim_reads_simlex_header(self, pipeline_dir):
+        """The header names the layout: no flag says the file is SimLex-999."""
+        d = pipeline_dir
+        prepare(d)
+        simfile = d / "SimLex-999.txt"
+        simfile.write_text("word1\tword2\tPOS\tSimLex999\tconc(w1)\n"
+                           "gem\tjewel\tN\t9.5\t4.1\ngem\tstone\tN\t5.0\t4.1\n"
+                           "boat\tship\tN\t9.0\t4.9\n")
+        assert run(["eval-sim", "--model", d / "model.txt", "--dataset", simfile,
+                    "--out", d / "sim.csv"]) == 0
+        assert (d / "sim.csv").read_text().splitlines()[1].startswith("SimLex-999,3,")
+
     def test_eval_wmd_split_mode(self, pipeline_dir):
         d = pipeline_dir
         run(["tokenize", d / "raw.txt", "--out", d / "tokens.txt"])
@@ -248,9 +263,10 @@ class TestPipeline:
         assert "1 docs (0 skipped, 1 unassigned)" in capsys.readouterr().out
 
     def test_old_config_keys_are_ignored(self, pipeline_dir, capsys):
-        """Configs written before `mode`, `prune` and `init` were removed still
-        run: the split file alone selects split mode, and the pretrained file
-        alone selects the pretrained start."""
+        """Configs written before `mode`, `prune`, `init`, `dataset_format` and
+        `name` were removed still run: the split file alone selects split mode,
+        the pretrained file alone selects the pretrained start, the dataset's
+        header selects its layout and the file stem names it."""
         d = pipeline_dir
         prepare(d)
         docs = d / "docs4"
@@ -277,6 +293,17 @@ class TestPipeline:
         assert run(["train", "--config", config, "--out", d / "model_pre.txt"]) == 0
         assert "pretrained coverage" in capsys.readouterr().out
 
+        simfile = d / "sim.tsv"
+        simfile.write_text("word1\tword2\tSimLex999\ngem\tjewel\t9.5\n"
+                           "gem\tstone\t5.0\nboat\tship\t9.0\n")
+        assert run(["eval-sim", "--model", d / "model.txt", "--dataset", simfile,
+                    "--out", d / "sim_flags.csv"]) == 0
+        config.write_text(f"model = {d / 'model.txt'}\ndataset = {simfile}\n"
+                          "dataset_format = wordsim\nname = simlex999\n")
+        assert run(["eval-sim", "--config", config, "--out", d / "sim_config.csv"]) == 0
+        assert (d / "sim_config.csv").read_bytes() == (d / "sim_flags.csv").read_bytes()
+        assert (d / "sim_config.csv").read_text().splitlines()[1].startswith("sim,3,")
+
     def test_report_reads_eval_wmd_tables(self, pipeline_dir):
         """A doc id holding a comma is quoted, and the accuracy table after the
         blank line gets its own header."""
@@ -299,6 +326,14 @@ class TestPipeline:
         assert len(rows) == 5
         assert set(rows[4]) == {"source", "accuracy", "half_width", "n"}
         assert rows[4]["n"] == "4"
+
+    def test_report_merges_tables_with_newline_endings(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("x,y\n1,2\n")
+        b.write_text("z\n\"3,4\"\n")
+        assert run(["report", a, b, "--out", tmp_path / "r.csv"]) == 0
+        assert (tmp_path / "r.csv").read_bytes() == (
+            f"source,x,y,z\n{a},1,2,\n{b},,,\"3,4\"\n".encode())
 
     def test_report_rejects_row_of_wrong_width(self, tmp_path, capsys):
         table = tmp_path / "t.csv"
@@ -363,6 +398,9 @@ class TestPipeline:
             "mixed.txt": ["augment", "--pairs", d / "pairs.txt", "--vocab", d / "vocab.tsv",
                           "--lexicon", d / "syn.tsv", "--ratio", "0.25", "--seed", "7"],
             "sim.csv": ["eval-sim", "--model", d / "model.txt", "--dataset", simfile],
+            "pairsets.csv": ["eval-pairsets", "--model", d / "model.txt",
+                             "--pairs", d / "mixed.txt", "--subs", d / "mixed.txt.subs",
+                             "--vocab", d / "vocab.tsv", "--size", "3,20,20", "--seed", "1"],
             "wmd.csv": ["eval-wmd", "--model", d / "model.txt", "--docs", docs, "--k", "1"],
             "model2.txt": ["train", "--pairs", d / "pairs.txt", "--vocab", d / "vocab.tsv",
                            "--dim", "8", "--epochs", "1", "--seed", "7"],
@@ -376,6 +414,13 @@ class TestPipeline:
             assert again.read_bytes() == first.read_bytes(), name
         assert (d / "again_model2.txt.loss.csv").read_bytes() == \
                (d / "model2.txt.loss.csv").read_bytes()
+        sweep = ["augment", "--pairs", d / "pairs.txt", "--vocab", d / "vocab.tsv",
+                 "--lexicon", d / "syn.tsv", "--ratio-sweep", "0,0.1", "--seed", "7"]
+        assert run(sweep + ["--out-dir", d / "sweep"]) == 0
+        assert run(["augment", "--config", d / "sweep" / "augment.manifest",
+                    "--out-dir", d / "again_sweep"]) == 0
+        for name in ("pairs_r0.txt", "pairs_r0.1.txt"):
+            assert (d / "again_sweep" / name).read_bytes() == (d / "sweep" / name).read_bytes()
 
     def test_hash_inside_config_value(self, tmp_path):
         src = tmp_path / "in#dir"
@@ -489,14 +534,33 @@ class TestExitCodes:
                 assert flag in out
 
     @pytest.mark.parametrize("command,line", [("eval-sim", "metric = bogus"),
-                                              ("train", "binary = maybe")])
-    def test_bad_config_value_is_usage_error(self, tmp_path, command, line):
+                                              ("train", "binary = maybe"),
+                                              ("eval-pairsets", "size = abc"),
+                                              ("eval-pairsets", "size = 1,2"),
+                                              ("augment", "ratio_sweep = 0.1,x")])
+    def test_bad_config_value_is_usage_error(self, tmp_path, command, line, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text("model = m\ndocs = d\npairs = p\nvocab = v\ndataset = s\n"
-                          f"{line}\n")
+                          f"subs = s\nlexicon = l\nout_dir = o\n{line}\n")
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", str(config), "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
+        assert line.split(" = ")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval-pairsets", "--size", "abc"],
+        ["eval-pairsets", "--size", "1,2"],
+        ["eval-pairsets", "--size", "0"],
+        ["eval-pairsets", "--size", "3,0,20"],
+        ["augment", "--ratio-sweep", "0.1,x"],
+        ["augment", "--ratio-sweep", "0.1,"],
+    ])
+    def test_value_that_does_not_parse_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--model", "m", "--pairs", "p", "--subs", "s", "--vocab", "v",
+                         "--lexicon", "l", "--out-dir", "o", "--out", "o"])
+        assert exc.value.code == 2
+        assert f"argument {argv[1]}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["augment", "--pairs", "p", "--vocab", "v", "--lexicon", "l", "--out", "o"],
@@ -511,6 +575,9 @@ class TestExitCodes:
         ["eval-wmd", "--model", "m", "--docs", "d", "--mode", "loo", "--out", "o"],
         ["eval-wmd", "--model", "m", "--docs", "d", "--no-prune", "--out", "o"],
         ["train", "--pairs", "p", "--vocab", "v", "--init", "pretrained", "--out", "o"],
+        ["eval-sim", "--model", "m", "--dataset", "s", "--dataset-format", "simlex",
+         "--out", "o"],
+        ["eval-sim", "--model", "m", "--dataset", "s", "--name", "x", "--out", "o"],
     ])
     def test_removed_flags_are_usage_errors(self, argv, capsys):
         # Without full spelling, `--mode` would be taken for `--model`.
@@ -521,6 +588,29 @@ class TestExitCodes:
 
     def test_option_budget(self):
         total = sum(len(cmd.params) for cmd in cli.COMMANDS.values())
-        assert total == 54, (
-            f"the CLI now has {total} settable values, not 54; if that is intended, "
+        assert total == 52, (
+            f"the CLI now has {total} settable values, not 52; if that is intended, "
             "update this number and say in CHANGES.md why the option is needed")
+
+
+def readme_commands() -> list[str]:
+    """Each `synvec ...` command of README's `sh` blocks, continuations joined."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["synvec"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_examples_parse():
+    commands = readme_commands()
+    assert len(commands) >= 12
+    parser = cli.build_parser()
+    for words in commands:
+        try:
+            parser.parse_args(words)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: synvec {shlex.join(words)}")

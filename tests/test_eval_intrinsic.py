@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
+from synvec import eval_intrinsic
 from synvec.errors import ParseError
 from synvec.eval_intrinsic import (
     PairSet,
     SimilarityDataset,
+    _average_ranks,
+    _cosine_distances,
     build_pairsets,
     cosine_distance,
-    load_simlex,
-    load_wordsim,
+    load_similarity,
     pairset_stats,
     similarity_correlation,
     spearman_rho,
@@ -50,6 +52,25 @@ class TestCosineDistance:
         u = rng.normal(size=6)
         v = rng.normal(size=6)
         assert cosine_distance(a * u, b * v) == pytest.approx(cosine_distance(u, v), abs=1e-9)
+
+    @pytest.mark.parametrize("dim", [2, 300])
+    def test_row_kernel_matches_scalar_bitwise(self, dim):
+        rng = np.random.default_rng(dim)
+        a = rng.normal(size=(500, dim)) * rng.uniform(0.01, 100.0, size=(500, 1))
+        b = rng.normal(size=(500, dim))
+        b[:50] = a[:50]
+        b[50:100] = -3.0 * a[50:100]
+        got = _cosine_distances(a, b)
+        assert [float(x) for x in got] == [cosine_distance(u, v) for u, v in zip(a, b)]
+
+    def test_row_kernel_zero_row_rejected(self):
+        a = np.ones((3, 4))
+        b = np.ones((3, 4))
+        b[1] = 0.0
+        with pytest.raises(ValueError, match="zero vector"):
+            _cosine_distances(a, b)
+        with pytest.raises(ValueError, match="zero vector"):
+            _cosine_distances(b, a)
 
 
 class TestSpearman:
@@ -93,6 +114,24 @@ class TestSpearman:
         y = rng.uniform(0.1, 10.0, size=40)
         assert spearman_rho(x ** 3, y) == pytest.approx(spearman_rho(x, y), abs=1e-12)
         assert spearman_rho(x, np.log(y)) == pytest.approx(spearman_rho(x, y), abs=1e-12)
+
+    def test_average_ranks_match_scipy_exactly(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = rng.integers(1, 60)
+            x = rng.integers(-4, 5, size=n) * rng.choice([0.5, 1.0, 1e-3])  # heavy ties
+            if rng.random() < 0.5:
+                x = np.where(rng.random(n) < 0.3, -0.0, x)  # -0.0 next to 0.0
+            assert np.array_equal(_average_ranks(x), stats.rankdata(x, method="average"))
+        x = rng.normal(size=100)
+        assert np.array_equal(_average_ranks(x), stats.rankdata(x, method="average"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            spearman_rho([1.0, bad, bad, 4.0], [1, 2, 3, 4])
+        with pytest.raises(ValueError, match="finite"):
+            spearman_rho([1, 2, 3, 4], [1.0, 2.0, bad, 4.0])
 
     def test_constant_input_rejected(self):
         with pytest.raises(ValueError, match="constant"):
@@ -155,6 +194,35 @@ class TestSimilarityCorrelation:
         rho, used = similarity_correlation(model, vocab, SimilarityDataset(pairs=pairs))
         assert used == 500
         assert abs(rho) < 0.1
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_distances_match_per_pair_reference(self, metric, monkeypatch):
+        rng = np.random.default_rng(17)
+        n_words = 120
+        vocab = make_vocab({f"w{i:03d}": n_words - i for i in range(n_words)})
+        model = model_from_matrix(rng.normal(size=(n_words, 300)))
+        pairs = [(f"w{a:03d}", f"w{b:03d}", float(s))
+                 for (a, b), s in zip(rng.integers(0, n_words + 10, size=(400, 2)),
+                                      rng.uniform(0, 10, size=400)) if a != b]
+        seen = []
+
+        def record(distances, scores):
+            seen.append((distances, scores))
+            return 0.0
+
+        monkeypatch.setattr(eval_intrinsic, "spearman_rho", record)
+        _, used = similarity_correlation(model, vocab, SimilarityDataset(pairs=pairs),
+                                         metric=metric)
+        distances, scores = seen[0]
+        expected = []
+        for w1, w2, _ in pairs:
+            if w1 in vocab and w2 in vocab:
+                u, v = model.input[vocab.id(w1)], model.input[vocab.id(w2)]
+                expected.append(cosine_distance(u, v) if metric == "cosine"
+                                else float(np.sqrt((u - v) @ (u - v))))
+        assert used == len(expected) < len(pairs)
+        assert [float(x) for x in distances] == expected
+        assert list(scores) == [s for w1, w2, s in pairs if w1 in vocab and w2 in vocab]
 
     def test_euclidean_metric_available(self):
         vocab = make_vocab({"a": 3, "b": 2, "c": 1})
@@ -246,48 +314,56 @@ class TestDatasetLoaders:
     def test_simlex_format(self, tmp_path):
         path = tmp_path / "simlex.tsv"
         path.write_text(
-            "word1\tword2\tPOS\tSimLex999\tother\n"
-            "Old\tNew\tA\t1.58\tx\n"
-            "smart\tintelligent\tA\t9.2\tx\n"
+            "word1\tword2\tPOS\tSimLex999\tconc(w1)\tconc(w2)\tconcQ\tAssoc(USF)"
+            "\tSimAssoc333\tSD(SimLex)\n"
+            "Old\tNew\tA\t1.58\t2.72\t2.81\t2\t7.25\t1\t0.41\n"
+            "smart\tintelligent\tA\t9.2\t1.75\t2.46\t1\t7.11\t1\t0.67\n"
         )
-        ds = load_simlex(path)
+        ds = load_similarity(path)
         assert ds.pairs == [("old", "new", 1.58), ("smart", "intelligent", 9.2)]
+        assert ds.name == "simlex"
 
     def test_simlex_missing_column(self, tmp_path):
         path = tmp_path / "simlex.tsv"
-        path.write_text("word1\tword2\tscore\na\tb\t1\n")
-        with pytest.raises(ParseError, match="header"):
-            load_simlex(path)
+        path.write_text("word2\tPOS\tSimLex999\nnew\tA\t1.58\n")
+        with pytest.raises(ParseError, match=r":1: .*header"):
+            load_similarity(path)
 
     def test_wordsim_with_header(self, tmp_path):
         path = tmp_path / "ws.tsv"
-        path.write_text("Word 1\tWord 2\tScore\nlove\tsex\t6.77\n")
-        ds = load_wordsim(path)
+        path.write_text("Word 1\tWord 2\tHuman (mean)\nlove\tsex\t6.77\n")
+        ds = load_similarity(path)
         assert ds.pairs == [("love", "sex", 6.77)]
+        assert ds.name == "ws"
 
     def test_wordsim_without_header(self, tmp_path):
         path = tmp_path / "ws.tsv"
         path.write_text("tiger\tcat\t7.35\nbook\tpaper\t7.46\n")
-        ds = load_wordsim(path)
+        ds = load_similarity(path)
         assert len(ds.pairs) == 2
+
+    def test_space_separated_rows_and_comments(self, tmp_path):
+        path = tmp_path / "ws.txt"
+        path.write_text("# word1 word2 score\nTiger  cat 7.35\n\n# more\nbook paper 7.46\n")
+        assert load_similarity(path).pairs == [("tiger", "cat", 7.35), ("book", "paper", 7.46)]
 
     def test_duplicate_unordered_pairs_dropped(self, tmp_path):
         path = tmp_path / "ws.tsv"
         path.write_text("cat\tdog\t5\ndog\tcat\t6\ncat\tfish\t2\n")
-        ds = load_wordsim(path)
+        ds = load_similarity(path)
         assert ds.pairs == [("cat", "dog", 5.0), ("cat", "fish", 2.0)]
 
     def test_wordsim_bad_score_mid_file(self, tmp_path):
         path = tmp_path / "ws.tsv"
         path.write_text("cat\tdog\t5\ndog\tfish\toops\n")
         with pytest.raises(ParseError, match=r":2:"):
-            load_wordsim(path)
+            load_similarity(path)
 
     def test_non_finite_score_rejected(self, tmp_path):
         path = tmp_path / "ws.tsv"
         path.write_text("cat\tdog\tnan\n")
         with pytest.raises(ParseError, match="non-finite"):
-            load_wordsim(path)
+            load_similarity(path)
         path.write_text("word1\tword2\tSimLex999\ncat\tdog\tinf\n")
         with pytest.raises(ParseError, match="non-finite"):
-            load_simlex(path)
+            load_similarity(path)
