@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import fileio
 from .corpus import Vocabulary
 from .errors import ParseError
 from .lexicon import SynonymLexicon, is_candidate, sample_synonym
@@ -132,9 +133,8 @@ def write_substitutions(
     path: str | Path, substitutions: list[Substitution], meta: dict | None = None
 ) -> None:
     """Write `<focus_id>\\t<synonym_id>` lines under a `#subs v1` header."""
-    fields = " ".join(f"{k}={v}" for k, v in (meta or {}).items())
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"#subs v1 {fields}".rstrip() + "\n")
+    with fileio.output(path, "w", encoding="utf-8") as f:
+        f.write(fileio.header("subs", meta))
         for focus_id, synonym_id in substitutions:
             f.write(f"{focus_id}\t{synonym_id}\n")
 
@@ -142,18 +142,10 @@ def write_substitutions(
 def read_substitutions(path: str | Path) -> list[Substitution]:
     substitutions = []
     with open(path, encoding="utf-8") as f:
-        header = f.readline().rstrip("\n")
-        if not header.startswith("#subs v1"):
-            raise ParseError(path, 1, f"expected '#subs v1' header, got {header!r}")
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(path, lineno, f"expected '<focus>\\t<synonym>', got {line!r}")
+        fileio.read_header(f, path, "subs")
+        for lineno, fields in fileio.records(f, path, "<focus>\t<synonym>", "\t"):
             try:
                 substitutions.append((int(fields[0]), int(fields[1])))
             except ValueError:
-                raise ParseError(path, lineno, f"non-integer id in {line!r}")
+                raise ParseError(path, lineno, f"non-integer id in {fields}")
     return substitutions

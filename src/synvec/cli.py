@@ -23,7 +23,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import __version__, augment, corpus, embed_io, eval_extrinsic, eval_intrinsic
+from . import __version__, augment, corpus, embed_io, eval_extrinsic, eval_intrinsic, fileio
 from . import lexicon as lexicon_mod
 from . import pairgen, sgns
 from .seeds import derive_seed, derived_rng
@@ -147,7 +147,7 @@ def read_config(path: str | Path) -> dict[str, str]:
 def write_manifest(out_path: str | Path, command: str, params: dict) -> Path:
     """Record the resolved parameters of a run next to its primary output."""
     manifest = Path(str(out_path) + ".manifest")
-    with open(manifest, "w", encoding="utf-8") as f:
+    with fileio.output(manifest, "w", encoding="utf-8") as f:
         f.write(f"# synvec {__version__} run manifest\n")
         f.write(f"command = {command}\n")
         for key in sorted(params):
@@ -163,7 +163,7 @@ def write_manifest(out_path: str | Path, command: str, params: dict) -> Path:
 def _write_csv(path: str | Path, rows: list) -> None:
     """Write rows as CSV, quoting a field that holds a comma or quote. An
     empty row is a blank line, which ends one table; the next row is a header."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with fileio.output(path, "w", encoding="utf-8", newline="") as f:
         csv.writer(f, lineterminator="\n").writerows(rows)
 
 
@@ -282,7 +282,6 @@ def cmd_augment(p) -> Path | str:
          Param("binary", boolean, False, "--pretrained-file is word2vec binary"),
          Param("noise_exponent", float, sgns.TrainConfig.noise_exponent,
                "power of the counts in the noise distribution"),
-         Param("loss_csv", str, None, "per-epoch mean loss file, <out>.loss.csv if unset"),
          Param("checkpoint_every", int, 0, "write <out>.epochN snapshots every N epochs"),
          OUT)
 def cmd_train(p) -> str:
@@ -308,7 +307,7 @@ def cmd_train(p) -> str:
     model, losses = sgns.train(dataset, vocab, config, initial=initial,
                                on_epoch=checkpoint)
     embed_io.write_text(p.out, vocab.words, model.input)
-    _write_csv(p.loss_csv or f"{p.out}.loss.csv", [["epoch", "mean_loss"], *enumerate(losses)])
+    _write_csv(f"{p.out}.loss.csv", [["epoch", "mean_loss"], *enumerate(losses)])
     print(f"train: {config.epochs} epochs over {len(dataset)} pairs, "
           f"final mean loss {losses[-1]:.6f} -> {p.out}")
     return p.out
@@ -409,7 +408,7 @@ def cmd_report(p) -> str:
                 else:
                     rows.append({"source": path, **dict(zip(header, record))})
     if p.json:
-        with open(p.out, "w", encoding="utf-8") as f:
+        with fileio.output(p.out, "w", encoding="utf-8") as f:
             json.dump(rows, f, indent=2)
     else:
         keys = list(dict.fromkeys(["source", *(k for row in rows for k in row)]))

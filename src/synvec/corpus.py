@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import fileio
 from .errors import ParseError
 
 TokenizedCorpus = list[list[str]]
@@ -121,33 +122,23 @@ def encode(corpus: TokenizedCorpus, vocab: Vocabulary) -> EncodedCorpus:
 
 # --- file formats -----------------------------------------------------------
 
-_VOCAB_HEADER = re.compile(r"#vocab v1 min_count=(\d+)$")
-
 
 def write_vocab(path: str | Path, vocab: Vocabulary) -> None:
     """Write `<word>\\t<count>` lines in id order under a `#vocab v1` header."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"#vocab v1 min_count={vocab.min_count}\n")
+    with fileio.output(path, "w", encoding="utf-8") as f:
+        f.write(fileio.header("vocab", {"min_count": vocab.min_count}))
         for word, count in zip(vocab.words, vocab.counts):
             f.write(f"{word}\t{count}\n")
 
 
 def read_vocab(path: str | Path) -> Vocabulary:
     with open(path, encoding="utf-8") as f:
-        header = f.readline().rstrip("\n")
-        m = _VOCAB_HEADER.match(header)
-        if not m:
-            raise ParseError(path, 1, f"expected '#vocab v1' header, got {header!r}")
-        min_count = int(m.group(1))
+        min_count = fileio.read_header(f, path, "vocab").get("min_count", "")
+        if not min_count.isdecimal():
+            raise ParseError(path, 1, "expected '#vocab v1 min_count=<n>' header")
+        min_count = int(min_count)
         words, counts = [], []
-        for lineno, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(path, lineno, f"expected '<word>\\t<count>', got {line!r}")
-            word, count_str = fields
+        for lineno, (word, count_str) in fileio.records(f, path, "<word>\t<count>", "\t"):
             try:
                 count = int(count_str)
             except ValueError:
@@ -163,7 +154,7 @@ def read_vocab(path: str | Path) -> Vocabulary:
 
 def write_tokens(path: str | Path, corpus: TokenizedCorpus) -> None:
     """Write a tokenized corpus, one sentence per line, tokens space-separated."""
-    with open(path, "w", encoding="utf-8") as f:
+    with fileio.output(path, "w", encoding="utf-8") as f:
         for sentence in corpus:
             f.write(" ".join(sentence) + "\n")
 

@@ -12,6 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import fileio
 from .corpus import Vocabulary
 from .errors import ParseError
 
@@ -20,7 +21,7 @@ def write_text(path: str | Path, words: Sequence[str], matrix: np.ndarray) -> No
     """Write `<count> <dim>` header then `<word> <floats>` rows."""
     matrix = np.asarray(matrix, dtype=np.float64)
     _check_rows(words, matrix)
-    with open(path, "w", encoding="utf-8") as f:
+    with fileio.output(path, "w", encoding="utf-8") as f:
         f.write(f"{matrix.shape[0]} {matrix.shape[1]}\n")
         for word, row in zip(words, matrix):
             f.write(word + " " + " ".join(repr(float(x)) for x in row) + "\n")
@@ -62,7 +63,7 @@ def write_binary(path: str | Path, words: Sequence[str], matrix: np.ndarray) -> 
     UTF-8 word, one space, and dim little-endian float32 values."""
     matrix = np.asarray(matrix, dtype="<f4")
     _check_rows(words, matrix)
-    with open(path, "wb") as f:
+    with fileio.output(path, "wb") as f:
         f.write(f"{matrix.shape[0]} {matrix.shape[1]}\n".encode("ascii"))
         for word, row in zip(words, matrix):
             f.write(word.encode("utf-8") + b" " + row.tobytes() + b"\n")

@@ -18,7 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
+from . import fileio
 from .corpus import Vocabulary, tokenize
+from .errors import ParseError
 from .sgns import EmbeddingModel
 from .transport import solve_transport
 
@@ -259,14 +261,11 @@ def read_split_manifest(path: str | Path) -> dict[str, str]:
     """Parse `<class>/<doc>\\t<train|test>` lines."""
     assignment = {}
     with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2 or fields[1] not in ("train", "test"):
-                raise ValueError(f"{path}:{lineno}: expected '<class>/<doc>\\t<train|test>'")
-            assignment[fields[0]] = fields[1]
+        layout = "<class>/<doc>\t<train|test>"
+        for lineno, (doc, part) in fileio.records(f, path, layout, "\t", start=1, comments=True):
+            if part not in ("train", "test"):
+                raise ParseError(path, lineno, f"expected {layout!r}, got {part!r}")
+            assignment[doc] = part
     return assignment
 
 

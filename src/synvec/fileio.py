@@ -1,0 +1,53 @@
+"""The file layer: atomic output files and the `#<tag> v1` line formats."""
+
+from __future__ import annotations
+
+import os
+from contextlib import contextmanager
+from pathlib import Path
+
+from .errors import ParseError
+
+
+@contextmanager
+def output(path: str | Path, mode: str, **open_kwargs):
+    """Write `path` through `<path>.<pid>.tmp`, renamed onto it when the block
+    completes and removed when it raises, so a failed run leaves the previous
+    file or none. No fsync: durability against power loss is not promised."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **open_kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def header(tag: str, meta: dict | None = None) -> str:
+    """The header line `#<tag> v1 k=v ...`, newline included."""
+    fields = " ".join(f"{k}={v}" for k, v in (meta or {}).items())
+    return f"#{tag} v1 {fields}".rstrip() + "\n"
+
+
+def read_header(f, path: str | Path, tag: str) -> dict[str, str]:
+    """The `k=v` fields of a `#<tag> v1` first line; other fields are ignored."""
+    line = f.readline()
+    if line.split()[:2] != [f"#{tag}", "v1"]:
+        raise ParseError(path, 1, f"expected '#{tag} v1' header, got {line.rstrip()!r}")
+    return dict(item.split("=", 1) for item in line.split()[2:] if "=" in item)
+
+
+def records(f, path: str | Path, layout: str, sep: str | None = None, start: int = 2,
+            comments: bool = False):
+    """Yield `(lineno, fields)` per line of `f` from line `start`, split on `sep`
+    (None: runs of whitespace) after stripping. Blank lines, and `#` lines if
+    `comments`, are skipped; a field count other than `layout`'s raises ParseError."""
+    width = len(layout.split(sep))
+    for lineno, line in enumerate(f, start=start):
+        fields = line.split() if sep is None else line.strip().split(sep)
+        if len(fields) == width and not (comments and fields[0].startswith("#")):
+            yield lineno, fields
+        elif line.strip() and not (comments and line.lstrip().startswith("#")):
+            raise ParseError(path, lineno, f"expected {layout!r}, got {line.strip()!r}")

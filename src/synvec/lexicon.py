@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import fileio
 from .corpus import Vocabulary
 from .errors import ParseError
 
@@ -49,18 +50,9 @@ def load_lexicon(path: str | Path) -> SynonymLexicon:
     entries: dict[str, set[tuple[str, str]]] = {}
     dropped = 0
     with open(path, encoding="utf-8") as f:
-        header = f.readline().rstrip("\n")
-        if not header.startswith("#synlex v1"):
-            raise ParseError(path, 1, f"expected '#synlex v1' header, got {header!r}")
-        for lineno, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(
-                    path, lineno, f"expected '<word>\\t<pos>\\t<synonym>', got {line!r}"
-                )
+        fileio.read_header(f, path, "synlex")
+        layout = "<word>\t<pos>\t<synonym>"
+        for lineno, fields in fileio.records(f, path, layout, "\t", comments=True):
             word, pos, synonym = (x.strip().lower() for x in fields)
             if pos not in POS_TAGS:
                 raise ParseError(path, lineno, f"unknown POS tag {pos!r}")
@@ -74,8 +66,8 @@ def load_lexicon(path: str | Path) -> SynonymLexicon:
 
 
 def write_lexicon(path: str | Path, lexicon: SynonymLexicon) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("#synlex v1\n")
+    with fileio.output(path, "w", encoding="utf-8") as f:
+        f.write(fileio.header("synlex"))
         for word in sorted(lexicon.entries):
             for pos, synonym in sorted(lexicon.entries[word]):
                 f.write(f"{word}\t{pos}\t{synonym}\n")

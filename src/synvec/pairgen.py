@@ -12,6 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
+from . import fileio
 from .corpus import EncodedCorpus
 from .errors import ParseError
 from .seeds import derived_rng
@@ -143,39 +144,24 @@ def generate_pairs(encoded: EncodedCorpus, C: int, seed: int) -> PairDataset:
 
 def write_pairs(path: str | Path, dataset: PairDataset, meta: dict | None = None) -> None:
     """Write `<focus> <context> <position> <origin>` lines under a `#pairs v1` header."""
-    fields = " ".join(f"{k}={v}" for k, v in (meta or {}).items())
     columns = (dataset.focus.tolist(), dataset.context.tolist(),
                dataset.position.tolist(), dataset.origin.tolist())
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"#pairs v1 {fields}".rstrip() + "\n")
+    with fileio.output(path, "w", encoding="utf-8") as f:
+        f.write(fileio.header("pairs", meta))
         f.writelines(f"{a} {b} {c} {o}\n" for a, b, c, o in zip(*columns))
 
 
 def read_pairs(path: str | Path) -> tuple[PairDataset, dict[str, str]]:
     with open(path, encoding="utf-8") as f:
-        header = f.readline().rstrip("\n")
-        if not header.startswith("#pairs v1"):
-            raise ParseError(path, 1, f"expected '#pairs v1' header, got {header!r}")
-        meta = {}
-        for item in header[len("#pairs v1"):].split():
-            key, sep, value = item.partition("=")
-            if sep:
-                meta[key] = value
+        meta = fileio.read_header(f, path, "pairs")
         focus, context, position, origin = [], [], [], []
-        for lineno, line in enumerate(f, start=2):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != 4:
-                raise ParseError(
-                    path, lineno, f"expected '<focus> <context> <position> <origin>', got {line!r}"
-                )
+        for lineno, fields in fileio.records(f, path, "<focus> <context> <position> <origin>"):
             try:
                 focus.append(int(fields[0]))
                 context.append(int(fields[1]))
                 position.append(int(fields[2]))
             except ValueError:
-                raise ParseError(path, lineno, f"non-integer id field in {line!r}")
+                raise ParseError(path, lineno, f"non-integer id field in {fields}")
             if fields[3] not in (ORIGIN_NATURAL, ORIGIN_AUGMENTED):
                 raise ParseError(path, lineno, f"unknown origin flag {fields[3]!r}")
             origin.append(fields[3])

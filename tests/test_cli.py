@@ -263,10 +263,11 @@ class TestPipeline:
         assert "1 docs (0 skipped, 1 unassigned)" in capsys.readouterr().out
 
     def test_old_config_keys_are_ignored(self, pipeline_dir, capsys):
-        """Configs written before `mode`, `prune`, `init`, `dataset_format` and
-        `name` were removed still run: the split file alone selects split mode,
-        the pretrained file alone selects the pretrained start, the dataset's
-        header selects its layout and the file stem names it."""
+        """Configs written before `mode`, `prune`, `init`, `dataset_format`,
+        `name` and `loss_csv` were removed still run: the split file alone
+        selects split mode, the pretrained file alone selects the pretrained
+        start, the loss file is always `<out>.loss.csv`, the dataset's header
+        selects its layout and the file stem names it."""
         d = pipeline_dir
         prepare(d)
         docs = d / "docs4"
@@ -288,10 +289,12 @@ class TestPipeline:
         pretrained = d / "pre.txt"
         pretrained.write_text("1 8\ngem " + " ".join(["0.25"] * 8) + "\n")
         config.write_text(f"pairs = {d / 'pairs.txt'}\nvocab = {d / 'vocab.tsv'}\ndim = 8\n"
-                          f"epochs = 1\ninit = random\npretrained_file = {pretrained}\n")
+                          f"epochs = 1\ninit = random\npretrained_file = {pretrained}\n"
+                          f"loss_csv = {d / 'x'}\n")
         capsys.readouterr()
         assert run(["train", "--config", config, "--out", d / "model_pre.txt"]) == 0
         assert "pretrained coverage" in capsys.readouterr().out
+        assert (d / "model_pre.txt.loss.csv").exists() and not (d / "x").exists()
 
         simfile = d / "sim.tsv"
         simfile.write_text("word1\tword2\tSimLex999\ngem\tjewel\t9.5\n"
@@ -588,8 +591,8 @@ class TestExitCodes:
 
     def test_option_budget(self):
         total = sum(len(cmd.params) for cmd in cli.COMMANDS.values())
-        assert total == 52, (
-            f"the CLI now has {total} settable values, not 52; if that is intended, "
+        assert total == 51, (
+            f"the CLI now has {total} settable values, not 51; if that is intended, "
             "update this number and say in CHANGES.md why the option is needed")
 
 

@@ -179,6 +179,14 @@ class TestVocabFile:
         with pytest.raises(ValueError, match="duplicate"):
             read_vocab(path)
 
+    def test_hash_word_is_a_row_not_a_comment(self, tmp_path):
+        """Ids are positional, so a word starting with `#` keeps its row."""
+        vocab = build_vocabulary([["a", "a", "#tag", "#tag", "#tag", "b"]])
+        path = tmp_path / "vocab.tsv"
+        write_vocab(path, vocab)
+        assert path.read_text().splitlines()[1] == "#tag\t3"
+        assert read_vocab(path).words == ["#tag", "a", "b"]
+
     def test_count_below_threshold_rejected(self, tmp_path):
         path = tmp_path / "vocab.tsv"
         path.write_text("#vocab v1 min_count=5\na\t3\n")

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 from synvec import transport
+from synvec.errors import ParseError
 from synvec.eval_extrinsic import (
     NBowDocument,
     _cost_matrix,
@@ -523,6 +524,12 @@ class TestCorpusLoading:
         assert [d.doc_id for d in corpus.train] == ["music/d1.txt", "sport/d1.txt"]
         assert [d.doc_id for d in corpus.test] == ["sport/d2.txt"]
         assert corpus.unassigned == 1  # music/d2.txt not in the manifest
+
+    def test_manifest_errors_name_path_and_line(self, tmp_path):
+        manifest = tmp_path / "split.tsv"
+        manifest.write_text("# comment\n\nsport/d1.txt\ttrain\nsport/d2.txt\n")
+        with pytest.raises(ParseError, match=r"split\.tsv:4: expected"):
+            read_split_manifest(manifest)
 
     def test_bad_manifest_line(self, tmp_path):
         manifest = tmp_path / "split.tsv"
