@@ -21,7 +21,7 @@ from .lexicon import SynonymLexicon, is_candidate, sample_synonym
 from .pairgen import ORIGIN_AUGMENTED, PairDataset
 from .seeds import derived_rng
 
-# Sweep values exposed by the CLI preset `--ratio-sweep standard`.
+# Sweep values exposed by the CLI preset `--ratio standard`.
 RATIO_SWEEP = (0.0, 0.02, 0.035, 0.06, 0.10, 0.16, 0.25, 0.37, 0.50, 0.64)
 
 Substitution = tuple[int, int]  # (original focus id, sampled synonym id)
@@ -50,7 +50,8 @@ def generate_augmented_pairs(
     One synonym is drawn per candidate focus occurrence and substituted as
     the focus of all that occurrence's pairs; contexts and positions are
     inherited unchanged. Also returns the (focus, synonym) substitution
-    records actually used, one per augmented occurrence.
+    records, one per occurrence in the pool whether or not a mix draws it:
+    the fixed synonym evaluation set shared by every ratio, 0 included.
 
     Occurrences are recovered as consecutive runs of the same focus id
     (pair records carry no token index, so directly repeated words merge).

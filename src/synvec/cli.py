@@ -51,8 +51,14 @@ def pair_set_sizes(raw: str) -> int | tuple[int, int, int]:
 
 
 def sweep_ratios(raw: str) -> str | tuple[float, ...]:
-    """`--ratio-sweep`: `standard` or comma-separated ratios."""
-    return raw if raw == "standard" else tuple(float(r) for r in raw.split(","))
+    """`--ratio`: `standard` or comma-separated ratios, no two of which name
+    the same `_r<ratio>` file."""
+    if raw == "standard":
+        return raw
+    ratios = tuple(float(r) for r in raw.split(","))
+    if len({f"{r:g}" for r in ratios}) < len(ratios):
+        raise ValueError(f"two of the ratios {raw!r} print as the same _r<ratio> name")
+    return ratios
 
 
 def file_list(raw: str) -> list[str]:
@@ -91,28 +97,16 @@ class Param:
         if value is None:
             value = self.default
         if value is REQUIRED:
-            raise _missing(self.name)
+            raise UsageError(f"missing required parameter '{self.name}' (flag or config)")
         if self.choices and value not in self.choices:
             raise UsageError(f"{self.name} must be one of {', '.join(self.choices)}, "
                              f"got {value!r}")
         return value
 
 
-def _missing(name: str) -> UsageError:
-    return UsageError(f"missing required parameter '{name}' (flag or config)")
-
-
-def _require(p: argparse.Namespace, *names: str) -> None:
-    """Usage error unless each named parameter is set; for the parameters
-    whose need depends on the value of another."""
-    for name in names:
-        if getattr(p, name) is None:
-            raise _missing(name)
-
-
 @dataclass(frozen=True)
 class Command:
-    run: Callable[[argparse.Namespace], Any]  # returns the manifest's anchor path
+    run: Callable[[argparse.Namespace], None]
     help: str
     params: tuple[Param, ...]
 
@@ -187,52 +181,41 @@ OUT = Param("out", str, REQUIRED, "output file; the manifest goes to <out>.manif
 
 
 @command("tokenize", "split raw text into sentences of word tokens", INPUTS, OUT)
-def cmd_tokenize(p) -> str:
+def cmd_tokenize(p):
     sentences = corpus.tokenize(corpus.read_text_files(p.inputs))
     corpus.write_tokens(p.out, sentences)
     print(f"tokenize: {len(sentences)} sentences, "
           f"{sum(len(s) for s in sentences)} tokens -> {p.out}")
-    return p.out
 
 
 @command("build-vocab", "build a frequency-pruned vocabulary",
          CORPUS, Param("min_count", int, 1, "drop words seen fewer times"), OUT)
-def cmd_build_vocab(p) -> str:
+def cmd_build_vocab(p):
     vocab = corpus.build_vocabulary(corpus.read_tokens(p.corpus), min_count=p.min_count)
     corpus.write_vocab(p.out, vocab)
     print(f"build-vocab: {len(vocab)} words at min_count={p.min_count} -> {p.out}")
-    return p.out
 
 
 @command("gen-pairs", "generate positional-sampled skip-gram pairs",
          CORPUS, VOCAB, Param("context_size", int, 5, "maximum context offset C", alias="-C"),
          SEED, OUT)
-def cmd_gen_pairs(p) -> str:
+def cmd_gen_pairs(p):
     vocab = corpus.read_vocab(p.vocab)
     encoded = corpus.encode(corpus.read_tokens(p.corpus), vocab)
     pairs = pairgen.generate_pairs(encoded, p.context_size, derive_seed(p.seed, "pairgen"))
     pairgen.write_pairs(p.out, pairs, meta={"C": p.context_size, "seed": p.seed})
     print(f"gen-pairs: {len(pairs)} natural pairs (C={p.context_size}) -> {p.out}")
-    return p.out
 
 
 @command("augment", "mix synonym-augmented pairs into the dataset",
          PAIRS, VOCAB, Param("lexicon", str, REQUIRED, "synonym lexicon (#synlex v1)"),
-         Param("ratio", float, None, "augmented fraction of the mix; writes --out"),
-         Param("ratio_sweep", sweep_ratios, None,
-               "'standard' (the preset ratios the pool reaches) or comma-separated "
-               "ratios; writes to --out-dir"),
-         Param("out_dir", str, None, "directory of the --ratio-sweep pair files"),
-         SEED, Param("out", str, None, "mixed pair file of --ratio"))
-def cmd_augment(p) -> Path | str:
-    if p.ratio_sweep is None:
-        _require(p, "ratio", "out")
-        ratios, anchor = [p.ratio], p.out
-    else:
-        _require(p, "out_dir")
-        ratios = augment.RATIO_SWEEP if p.ratio_sweep == "standard" else p.ratio_sweep
-        out_dir = Path(p.out_dir)
-        anchor = out_dir / "augment"
+         Param("ratio", sweep_ratios, REQUIRED,
+               "augmented fraction of the mix: one ratio, comma-separated ratios, or "
+               "'standard' (the preset ratios the pool reaches)"),
+         SEED, Param("out", str, REQUIRED, "mixed pair file of one ratio; ratio r of "
+                     "several goes to <stem>_r<r><suffix> beside it"))
+def cmd_augment(p):
+    ratios = augment.RATIO_SWEEP if p.ratio == "standard" else p.ratio
     plans = [augment.AugmentationPlan(ratio=r, seed=derive_seed(p.seed, "augment.mix"))
              for r in ratios]
 
@@ -252,22 +235,21 @@ def cmd_augment(p) -> Path | str:
                   f"{augment.max_ratio(len(natural), len(pool)):.4f}")
         # The preset spans every corpus size, so it keeps the ratios this pool
         # reaches; explicit ratios are refused as a whole before any is written.
-        if p.ratio_sweep != "standard":
+        if p.ratio != "standard":
             raise ValueError(reason)
         print(f"augment: skipping standard sweep {reason}")
         plans = [plan for plan in plans if plan.ratio not in unreachable]
-    if p.ratio_sweep is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    # One list for the whole pool, the fixed synonym set every ratio is scored on.
+    augment.write_substitutions(f"{p.out}.subs", substitutions, meta={"seed": p.seed})
+    single = p.ratio != "standard" and len(p.ratio) == 1
+    base = Path(p.out)
     for plan in plans:
-        out = p.out if p.ratio_sweep is None else out_dir / f"pairs_r{plan.ratio:g}.txt"
+        out = p.out if single else base.with_name(f"{base.stem}_r{plan.ratio:g}{base.suffix}")
         mixed = augment.mix(natural, pool, plan)
         pairgen.write_pairs(out, mixed, meta={"C": meta.get("C", "?"),
                                               "seed": p.seed, "ratio": plan.ratio})
-        augment.write_substitutions(str(out) + ".subs", substitutions,
-                                    meta={"seed": p.seed})
         print(f"augment: ratio={plan.ratio:g} -> {len(mixed)} pairs "
               f"({mixed.n_augmented} augmented) -> {out}")
-    return anchor
 
 
 @command("train", "train skip-gram embeddings with negative sampling",
@@ -284,7 +266,7 @@ def cmd_augment(p) -> Path | str:
                "power of the counts in the noise distribution"),
          Param("checkpoint_every", int, 0, "write <out>.epochN snapshots every N epochs"),
          OUT)
-def cmd_train(p) -> str:
+def cmd_train(p):
     config = sgns.TrainConfig(
         dim=p.dim, negatives=p.negatives, epochs=p.epochs, learning_rate=p.lr,
         batch_size=p.batch, seed=derive_seed(p.seed, "sgns"),
@@ -310,7 +292,6 @@ def cmd_train(p) -> str:
     _write_csv(f"{p.out}.loss.csv", [["epoch", "mean_loss"], *enumerate(losses)])
     print(f"train: {config.epochs} epochs over {len(dataset)} pairs, "
           f"final mean loss {losses[-1]:.6f} -> {p.out}")
-    return p.out
 
 
 @command("eval-sim", "similarity-distance rank correlation",
@@ -318,7 +299,7 @@ def cmd_train(p) -> str:
          Param("metric", str, "cosine", "vector distance", choices=("cosine", "euclidean")),
          Param("common_vocab", str, None, "vocabulary that every scored word must be in"),
          OUT)
-def cmd_eval_sim(p) -> str:
+def cmd_eval_sim(p):
     model, vocab = _load_model(p.model)
     dataset = eval_intrinsic.load_similarity(p.dataset)
     common = corpus.read_vocab(p.common_vocab) if p.common_vocab else None
@@ -327,14 +308,13 @@ def cmd_eval_sim(p) -> str:
     )
     _write_csv(p.out, [["dataset", "pairs_used", "rho"], [dataset.name, used, rho]])
     print(f"eval-sim: {dataset.name} rho={rho:.4f} over {used} pairs -> {p.out}")
-    return p.out
 
 
 @command("eval-pairsets", "distance stats over synonym/contextual/random pairs",
          MODEL, PAIRS, Param("subs", str, REQUIRED, "substitution records from augment"),
          VOCAB, Param("size", pair_set_sizes, 1000, "pairs per set: one value or syn,ctx,rand"),
          SEED, OUT)
-def cmd_eval_pairsets(p) -> str:
+def cmd_eval_pairsets(p):
     model, model_vocab = _load_model(p.model)
     vocab = corpus.read_vocab(p.vocab)
     if model_vocab.words != vocab.words:
@@ -355,7 +335,6 @@ def cmd_eval_pairsets(p) -> str:
         table.append([pairset.kind, len(pairset), mean, std])
         print(f"eval-pairsets: {pairset.kind} mean={mean:.4f} std={std:.4f}")
     _write_csv(p.out, table)
-    return p.out
 
 
 @command("eval-wmd", "KNN document classification over Word Mover's Distance",
@@ -364,7 +343,7 @@ def cmd_eval_pairsets(p) -> str:
                "leave-one-out over all docs if unset"),
          Param("k", int, 10, "neighbours that vote"),
          OUT)
-def cmd_eval_wmd(p) -> str:
+def cmd_eval_wmd(p):
     model, vocab = _load_model(p.model)
     split = eval_extrinsic.read_split_manifest(p.split) if p.split else None
     loaded = eval_extrinsic.load_classification_corpus(p.docs, vocab, split=split)
@@ -386,12 +365,11 @@ def cmd_eval_wmd(p) -> str:
     print(f"eval-wmd: accuracy {acc:.4f} (+/- {half_width:.4f}) over "
           f"{len(test_docs)} docs ({loaded.skipped} skipped, {loaded.unassigned} unassigned) "
           f"-> {p.out}")
-    return p.out
 
 
 @command("report", "merge evaluation CSVs into one summary",
          INPUTS, Param("json", boolean, False, "write JSON, not CSV"), OUT)
-def cmd_report(p) -> str:
+def cmd_report(p):
     rows = []
     for path in p.inputs:
         with open(path, encoding="utf-8", newline="") as f:
@@ -414,7 +392,6 @@ def cmd_report(p) -> str:
         keys = list(dict.fromkeys(["source", *(k for row in rows for k in row)]))
         _write_csv(p.out, [keys, *([row.get(k, "") for k in keys] for row in rows)])
     print(f"report: merged {len(rows)} rows from {len(p.inputs)} files -> {p.out}")
-    return p.out
 
 
 # --- parser ---------------------------------------------------------------------
@@ -459,8 +436,8 @@ def main(argv=None) -> int:
         config = read_config(args.config) if args.config else {}
         params = {row.name: row.resolve(getattr(args, row.name), config)
                   for row in cmd.params}
-        anchor = cmd.run(argparse.Namespace(**params))
-        write_manifest(anchor, args.command,
+        cmd.run(argparse.Namespace(**params))
+        write_manifest(params["out"], args.command,
                        {k: v for k, v in params.items() if v is not None})
     except UsageError as exc:
         parser.error(f"{args.command}: {exc}")

@@ -154,7 +154,8 @@ def build_pairsets(
     """Assemble the synonym / contextual / random pair sets.
 
     Synonym pairs are the distinct (original focus, sampled synonym)
-    substitutions actually used during augmentation; contextual pairs are
+    substitutions of the whole augmented pool, drawn by a mix or not, so
+    every ratio (0 included) is scored on the same set; contextual pairs are
     distinct co-occurring (focus, context) pairs from the natural data;
     random pairs are sampled uniformly from the vocabulary. Each set is
     subsampled to its requested size (one int for all three, or a

@@ -350,24 +350,41 @@ class TestPipeline:
         run(["build-vocab", "--corpus", d / "tokens.txt", "--out", d / "vocab.tsv"])
         run(["gen-pairs", "--corpus", d / "tokens.txt", "--vocab", d / "vocab.tsv",
              "--context-size", "3", "--seed", "7", "--out", d / "pairs.txt"])
+        (d / "sweep").mkdir()
         assert run(["augment", "--pairs", d / "pairs.txt", "--vocab", d / "vocab.tsv",
-                    "--lexicon", d / "syn.tsv", "--ratio-sweep", "0,0.1,0.25",
-                    "--seed", "7", "--out-dir", d / "sweep"]) == 0
+                    "--lexicon", d / "syn.tsv", "--ratio", "0,0.1,0.25",
+                    "--seed", "7", "--out", d / "sweep" / "pairs.txt"]) == 0
         made = sorted(p.name for p in (d / "sweep").glob("pairs_r*.txt"))
         assert made == ["pairs_r0.1.txt", "pairs_r0.25.txt", "pairs_r0.txt"]
 
     def test_ratio_sweep_standard_keeps_reachable_ratios(self, pipeline_dir, capsys):
         d = pipeline_dir
         prepare(d, model=False)
+        (d / "sweep").mkdir()
         assert run(["augment", "--pairs", d / "pairs.txt", "--vocab", d / "vocab.tsv",
-                    "--lexicon", d / "syn.tsv", "--ratio-sweep", "standard",
-                    "--seed", "7", "--out-dir", d / "sweep"]) == 0
+                    "--lexicon", d / "syn.tsv", "--ratio", "standard",
+                    "--seed", "7", "--out", d / "sweep" / "pairs.txt"]) == 0
         made = sorted(p.name for p in (d / "sweep").glob("pairs_r*.txt"))
         assert made == sorted(f"pairs_r{r}.txt" for r in
                               ("0", "0.02", "0.035", "0.06", "0.1", "0.16", "0.25"))
         out = capsys.readouterr().out
         assert "ratio 0.37, 0.5, 0.64 out of reach" in out
         assert "maximum achievable ratio is 0." in out
+
+    def test_one_ratio_and_a_sweep_share_one_path(self, pipeline_dir):
+        """A ratio's pair file is the same alone or in a sweep, and a sweep
+        writes one substitution list, the one a single ratio writes."""
+        d = pipeline_dir
+        prepare(d, model=False)
+        argv = ["augment", "--pairs", d / "pairs.txt", "--vocab", d / "vocab.tsv",
+                "--lexicon", d / "syn.tsv", "--seed", "7"]
+        assert run(argv + ["--ratio", "0.1", "--out", d / "single.txt"]) == 0
+        (d / "sw").mkdir()
+        assert run(argv + ["--ratio", "0,0.1", "--out", d / "sw" / "pairs.txt"]) == 0
+        assert (d / "sw" / "pairs_r0.1.txt").read_bytes() == (d / "single.txt").read_bytes()
+        subs = list((d / "sw").glob("*.subs"))
+        assert subs == [d / "sw" / "pairs.txt.subs"]
+        assert subs[0].read_bytes() == (d / "single.txt.subs").read_bytes()
 
     def test_manifest_quotes_paths_with_spaces(self, tmp_path):
         raw = tmp_path / "my raw.txt"
@@ -418,10 +435,12 @@ class TestPipeline:
         assert (d / "again_model2.txt.loss.csv").read_bytes() == \
                (d / "model2.txt.loss.csv").read_bytes()
         sweep = ["augment", "--pairs", d / "pairs.txt", "--vocab", d / "vocab.tsv",
-                 "--lexicon", d / "syn.tsv", "--ratio-sweep", "0,0.1", "--seed", "7"]
-        assert run(sweep + ["--out-dir", d / "sweep"]) == 0
-        assert run(["augment", "--config", d / "sweep" / "augment.manifest",
-                    "--out-dir", d / "again_sweep"]) == 0
+                 "--lexicon", d / "syn.tsv", "--ratio", "0,0.1", "--seed", "7"]
+        (d / "sweep").mkdir()
+        (d / "again_sweep").mkdir()
+        assert run(sweep + ["--out", d / "sweep" / "pairs.txt"]) == 0
+        assert run(["augment", "--config", d / "sweep" / "pairs.txt.manifest",
+                    "--out", d / "again_sweep" / "pairs.txt"]) == 0
         for name in ("pairs_r0.txt", "pairs_r0.1.txt"):
             assert (d / "again_sweep" / name).read_bytes() == (d / "sweep" / name).read_bytes()
 
@@ -441,13 +460,14 @@ class TestPipeline:
     def test_ratio_sweep_out_of_reach_writes_nothing(self, pipeline_dir, capsys):
         d = pipeline_dir
         prepare(d, model=False)
+        (d / "sweep").mkdir()
         assert run(["augment", "--pairs", d / "pairs.txt", "--vocab", d / "vocab.tsv",
-                    "--lexicon", d / "syn.tsv", "--ratio-sweep", "0,0.1,0.6,0.9",
-                    "--seed", "7", "--out-dir", d / "sweep"]) == 1
+                    "--lexicon", d / "syn.tsv", "--ratio", "0,0.1,0.6,0.9",
+                    "--seed", "7", "--out", d / "sweep" / "pairs.txt"]) == 1
         err = capsys.readouterr().err
         assert "ratio 0.6, 0.9 out of reach" in err
         assert "maximum achievable ratio is 0." in err
-        assert not list((d / "sweep").glob("pairs_r*"))
+        assert not list((d / "sweep").glob("pairs*"))
 
     def test_eval_pairsets_rejects_permuted_model_rows(self, pipeline_dir, capsys):
         d = pipeline_dir
@@ -527,7 +547,7 @@ class TestExitCodes:
 
     def test_derived_flag_spellings(self, capsys):
         for name, flags in [("gen-pairs", ["--context-size", "-C", "(default: 5)"]),
-                            ("augment", ["--ratio-sweep", "--out-dir"]),
+                            ("augment", ["--ratio", "--out"]),
                             ("train", ["--binary", "--no-binary"]),
                             ("eval-sim", ["{cosine,euclidean}"])]:
             with pytest.raises(SystemExit):
@@ -540,11 +560,11 @@ class TestExitCodes:
                                               ("train", "binary = maybe"),
                                               ("eval-pairsets", "size = abc"),
                                               ("eval-pairsets", "size = 1,2"),
-                                              ("augment", "ratio_sweep = 0.1,x")])
+                                              ("augment", "ratio = 0.1,x")])
     def test_bad_config_value_is_usage_error(self, tmp_path, command, line, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text("model = m\ndocs = d\npairs = p\nvocab = v\ndataset = s\n"
-                          f"subs = s\nlexicon = l\nout_dir = o\n{line}\n")
+                          f"subs = s\nlexicon = l\n{line}\n")
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", str(config), "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
@@ -555,19 +575,21 @@ class TestExitCodes:
         ["eval-pairsets", "--size", "1,2"],
         ["eval-pairsets", "--size", "0"],
         ["eval-pairsets", "--size", "3,0,20"],
-        ["augment", "--ratio-sweep", "0.1,x"],
-        ["augment", "--ratio-sweep", "0.1,"],
+        ["augment", "--ratio", "0.1,x"],
+        ["augment", "--ratio", "0.1,"],
+        ["augment", "--ratio", "0.1,0.1"],
+        ["augment", "--ratio", "0.1,0.1000001"],
     ])
     def test_value_that_does_not_parse_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--model", "m", "--pairs", "p", "--subs", "s", "--vocab", "v",
-                         "--lexicon", "l", "--out-dir", "o", "--out", "o"])
+                         "--lexicon", "l", "--out", "o"])
         assert exc.value.code == 2
         assert f"argument {argv[1]}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["augment", "--pairs", "p", "--vocab", "v", "--lexicon", "l", "--out", "o"],
-        ["augment", "--pairs", "p", "--vocab", "v", "--lexicon", "l", "--ratio-sweep", "0"],
+        ["augment", "--pairs", "p", "--vocab", "v", "--lexicon", "l", "--ratio", "0"],
     ])
     def test_parameter_needed_by_another_is_usage_error(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -581,6 +603,10 @@ class TestExitCodes:
         ["eval-sim", "--model", "m", "--dataset", "s", "--dataset-format", "simlex",
          "--out", "o"],
         ["eval-sim", "--model", "m", "--dataset", "s", "--name", "x", "--out", "o"],
+        ["augment", "--pairs", "p", "--vocab", "v", "--lexicon", "l", "--ratio-sweep", "0",
+         "--out", "o"],
+        ["augment", "--pairs", "p", "--vocab", "v", "--lexicon", "l", "--ratio", "0",
+         "--out-dir", "o", "--out", "o"],
     ])
     def test_removed_flags_are_usage_errors(self, argv, capsys):
         # Without full spelling, `--mode` would be taken for `--model`.
@@ -591,9 +617,16 @@ class TestExitCodes:
 
     def test_option_budget(self):
         total = sum(len(cmd.params) for cmd in cli.COMMANDS.values())
-        assert total == 51, (
-            f"the CLI now has {total} settable values, not 51; if that is intended, "
+        assert total == 49, (
+            f"the CLI now has {total} settable values, not 49; if that is intended, "
             "update this number and say in CHANGES.md why the option is needed")
+
+    def test_every_command_requires_out(self):
+        """The manifest goes to <out>.manifest, so every command has a required
+        --out naming a file."""
+        for name, cmd in cli.COMMANDS.items():
+            out = [param for param in cmd.params if param.name == "out"]
+            assert len(out) == 1 and out[0].default is cli.REQUIRED, name
 
 
 def readme_commands() -> list[str]:
