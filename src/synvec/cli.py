@@ -397,6 +397,17 @@ def cmd_report(p):
 # --- parser ---------------------------------------------------------------------
 
 
+def _flag_type(convert: Callable[[str], Any]) -> Callable[[str], Any]:
+    """`convert` for argparse, which prints an ArgumentTypeError's message but
+    drops a ValueError's, so that a refused flag value says why."""
+    def parse(raw: str):
+        try:
+            return convert(raw)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="synvec",
@@ -424,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
                                action=argparse.BooleanOptionalAction)
             else:
                 p.add_argument(*flags, dest=row.name, default=None, help=text,
-                               type=row.type, choices=row.choices or None)
+                               type=_flag_type(row.type), choices=row.choices or None)
     return parser
 
 
@@ -436,6 +447,9 @@ def main(argv=None) -> int:
         config = read_config(args.config) if args.config else {}
         params = {row.name: row.resolve(getattr(args, row.name), config)
                   for row in cmd.params}
+        out_dir = Path(params["out"]).parent
+        if not out_dir.is_dir():  # found now, not after the stage has run
+            raise UsageError(f"--out {params['out']}: directory {out_dir} does not exist")
         cmd.run(argparse.Namespace(**params))
         write_manifest(params["out"], args.command,
                        {k: v for k, v in params.items() if v is not None})

@@ -16,7 +16,11 @@ def output(path: str | Path, mode: str, **open_kwargs):
     file or none. No fsync: durability against power loss is not promised."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, mode, **open_kwargs) as f:
+        f = open(tmp, mode, **open_kwargs)
+    except OSError as exc:  # name the file asked for, not the temp
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with f:
             yield f
         os.replace(tmp, path)
     except BaseException:

@@ -7,8 +7,13 @@ pair with noise words n_1..n_k the loss is
     -log s(u_ctx . v_foc) - sum_i log s(-u_{n_i} . v_foc)
 
 with s the logistic function, v rows of ``input`` and u rows of ``output``.
-Gradients are accumulated over a batch and applied once; only rows touched
-by a batch (as focus, context, or negative) ever change.
+A batch's gradients are all taken at the parameters before the step, then
+added row by row; only rows touched by a batch (as focus, context, or
+negative) ever change. The additions to one row go in a fixed order:
+``input`` rows in batch order; ``output`` rows first the context additions
+in batch order, then the negative ones pair-major (pair 0's k draws, then
+pair 1's). Floating-point addition does not associate, so this order is part
+of the bitwise contract.
 
 All floating point work is float64 and every random draw comes from a
 sub-seed derived from the config seed, so single-threaded training is
@@ -213,6 +218,23 @@ def draw_negatives(
     return negs
 
 
+def _scatter_add(matrix: np.ndarray, rows: np.ndarray, updates: np.ndarray) -> None:
+    """``matrix[rows[i]] += updates[i]`` for every i, in index order per row.
+
+    The additions go in rounds: round j adds the j-th occurrence of each
+    row, so the rows within a round are distinct and one fancy-index add
+    applies them. Every row sees the same additions in the same order as in
+    a loop over i, so the bits are those of numpy's unbuffered ufunc ``at``
+    method, without its per-element cost.
+    """
+    order = rows.argsort(kind="stable")
+    ranked = rows[order]
+    rank = np.arange(len(rows)) - ranked.searchsorted(ranked)  # occurrence number in its row
+    for j in range(rank.max() + 1):
+        sel = order[rank == j]
+        matrix[rows[sel]] += updates[sel]
+
+
 def train_step(
     model: EmbeddingModel,
     foc: np.ndarray,
@@ -221,8 +243,9 @@ def train_step(
     config: TrainConfig,
     rng: np.random.Generator,
 ) -> tuple[EmbeddingModel, float]:
-    """One SGD step over a batch of (foc[i], ctx[i]) id pairs: accumulate
-    gradients, apply once.
+    """One SGD step over a batch of (foc[i], ctx[i]) id pairs: draw the
+    negatives, take every gradient at the current parameters, then add them
+    in the order the module docstring gives.
 
     The model is updated in place and returned along with the batch mean
     loss.
@@ -232,9 +255,9 @@ def train_step(
     negs = draw_negatives(ctx, config.negatives, noise, rng)
     losses, g_in, g_ctx, g_neg = _batch_gradients(model, foc, ctx, negs)
     lr = config.learning_rate
-    np.add.at(model.input, foc, -lr * g_in)
-    np.add.at(model.output, ctx, -lr * g_ctx)
-    np.add.at(model.output, negs.reshape(-1), -lr * g_neg.reshape(-1, model.dim))
+    _scatter_add(model.input, foc, -lr * g_in)
+    _scatter_add(model.output, np.concatenate([ctx, negs.reshape(-1)]),
+                 -lr * np.concatenate([g_ctx, g_neg.reshape(-1, model.dim)]))
     return model, float(losses.mean())
 
 

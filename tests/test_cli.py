@@ -587,6 +587,31 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert f"argument {argv[1]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,reason", [
+        (["augment", "--ratio", "0.1,0.1000001"], "print as the same _r<ratio> name"),
+        (["eval-pairsets", "--size", "5,0,3"], "expected one positive integer or three"),
+    ])
+    def test_refused_flag_value_says_why(self, argv, reason, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--model", "m", "--pairs", "p", "--subs", "s", "--vocab", "v",
+                         "--lexicon", "l", "--out", "o"])
+        assert exc.value.code == 2
+        assert reason in capsys.readouterr().err
+
+    def test_missing_out_directory_is_found_before_the_stage_runs(
+            self, pipeline_dir, monkeypatch, capsys):
+        d = pipeline_dir
+        prepare(d, model=False)
+        monkeypatch.setattr(cli.sgns, "train",
+                            lambda *a, **k: pytest.fail("trained before checking --out"))
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--pairs", d / "pairs.txt", "--vocab", d / "vocab.tsv",
+                 "--dim", "8", "--epochs", "1", "--out", d / "nodir" / "m.txt"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and f"directory {d / 'nodir'} does not exist" in err
+        assert not (d / "nodir").exists()
+
     @pytest.mark.parametrize("argv", [
         ["augment", "--pairs", "p", "--vocab", "v", "--lexicon", "l", "--out", "o"],
         ["augment", "--pairs", "p", "--vocab", "v", "--lexicon", "l", "--ratio", "0"],

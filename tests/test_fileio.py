@@ -47,6 +47,14 @@ def test_write_tokens_failing_mid_corpus_keeps_old_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt"]
 
 
+def test_missing_directory_is_reported_by_the_target_name(tmp_path):
+    target = tmp_path / "nodir" / "out.txt"
+    with pytest.raises(FileNotFoundError) as exc:
+        with fileio.output(target, "w", encoding="utf-8"):
+            pytest.fail("opened a file in a missing directory")
+    assert exc.value.filename == str(target) and ".tmp" not in str(exc.value)
+
+
 def test_symlinked_target_is_replaced_not_written_through(tmp_path):
     elsewhere = tmp_path / "elsewhere.txt"
     elsewhere.write_text("kept\n")

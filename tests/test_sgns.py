@@ -1,17 +1,25 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
+from synvec import sgns
 from synvec.corpus import build_vocabulary
 from synvec.embed_io import write_text
 from synvec.eval_intrinsic import cosine_distance
 from synvec.pairgen import PairDataset, generate_pairs
+from synvec.seeds import derive_seed, derived_rng
 from synvec.sgns import (
     EmbeddingModel,
     TrainConfig,
     TrainingError,
+    _batch_gradients,
+    _scatter_add,
     draw_negatives,
     init_pretrained,
     init_random,
@@ -289,6 +297,107 @@ class TestTrainStep:
             batch = PairDataset.empty()
             train_step(model, batch.focus, batch.context, noise, config,
                        np.random.default_rng(0))
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+ROW_IDS = st.one_of(
+    st.integers(1, 30).flatmap(lambda n: st.integers(0, 5).map(lambda r: [r] * n)),  # one row
+    st.permutations(list(range(8))),                                                 # distinct
+    st.lists(st.integers(0, 5), min_size=1, max_size=40),                            # mixed
+)
+FLOATS = st.floats(-1e16, 1e16, allow_nan=False, width=64)
+
+
+class TestScatterAdd:
+    @given(ROW_IDS.flatmap(lambda rows: st.tuples(
+        st.just(np.array(rows, dtype=np.int64)),
+        arrays(np.float64, (8, 3), elements=FLOATS),
+        arrays(np.float64, (len(rows), 3), elements=FLOATS))))
+    def test_equals_add_at_bit_for_bit(self, case):
+        rows, matrix, updates = case
+        expected = matrix.copy()
+        np.add.at(expected, rows, updates)
+        _scatter_add(matrix, rows, updates)
+        assert np.array_equal(bits(matrix), bits(expected))
+
+    def test_additions_to_one_row_keep_their_order(self):
+        # 1e16 + 1 rounds back to 1e16. In index order row 0 ends at 0.0 and
+        # row 1 at 1.0; row 0 with its last two additions swapped, or row 1
+        # in reverse, ends at the other value.
+        rows = np.array([0, 1, 0, 1, 0, 1])
+        updates = np.array([[1e16], [1e16], [1.0], [-1e16], [-1e16], [1.0]])
+        matrix, expected = np.zeros((2, 1)), np.zeros((2, 1))
+        _scatter_add(matrix, rows, updates)
+        np.add.at(expected, rows, updates)
+        assert np.array_equal(bits(matrix), bits(expected))
+        assert matrix[:, 0].tolist() == [0.0, 1.0]
+
+
+def test_epoch_matches_add_at_reference(monkeypatch):
+    """A whole epoch over 6 words, so every batch repeats rows, against a
+    step that applies the same gradients with np.add.at: input in batch
+    order, output context first and then negatives pair-major."""
+    vocab = make_vocab({f"w{i}": 12 - 2 * i for i in range(6)})
+    rng = np.random.default_rng(5)
+    n = 203
+    dataset = PairDataset(rng.integers(0, 6, n), rng.integers(0, 6, n), np.ones(n), ["N"] * n)
+    config = TrainConfig(dim=8, negatives=5, epochs=1, learning_rate=0.3, batch_size=10, seed=9)
+
+    reference = init_random(len(vocab), config.dim, derive_seed(config.seed, "sgns.init"))
+    noise = noise_distribution(vocab, config.noise_exponent)
+    order = derived_rng(config.seed, "sgns.shuffle", 0).permutation(n)
+    neg_rng = derived_rng(config.seed, "sgns.negatives", 0)
+    focus, context = dataset.focus[order], dataset.context[order]
+    expected_losses = []
+    for start in range(0, n, config.batch_size):
+        end = start + config.batch_size
+        foc, ctx = focus[start:end], context[start:end]
+        negs = draw_negatives(ctx, config.negatives, noise, neg_rng)
+        losses, g_in, g_ctx, g_neg = _batch_gradients(reference, foc, ctx, negs)
+        lr = config.learning_rate
+        np.add.at(reference.input, foc, -lr * g_in)
+        np.add.at(reference.output, ctx, -lr * g_ctx)
+        np.add.at(reference.output, negs.reshape(-1), -lr * g_neg.reshape(-1, config.dim))
+        expected_losses.append(float(losses.mean()))
+    assert max(np.bincount(focus[:10])) > 1  # rows do repeat within a batch
+
+    step_losses = []
+
+    def recording_step(*args):
+        model, loss = train_step(*args)
+        step_losses.append(loss)
+        return model, loss
+
+    monkeypatch.setattr(sgns, "train_step", recording_step)
+    model, _ = train(dataset, vocab, config)
+    assert np.array_equal(bits(model.input), bits(reference.input))
+    assert np.array_equal(bits(model.output), bits(reference.output))
+    assert np.array_equal(bits(np.array(step_losses)), bits(np.array(expected_losses)))
+
+
+def _add_at_calls(path: Path) -> list[str]:
+    """`<anything>.add.at(...)` calls in one module."""
+    return [f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "at" and getattr(node.func.value, "attr", None) == "add"]
+
+
+def test_training_has_one_scatter_path():
+    sources = sorted(Path(sgns.__file__).resolve().parent.glob("*.py"))
+    assert len(sources) >= 10
+    found = [hit for path in sources for hit in _add_at_calls(path)]
+    assert found == [], "apply row updates with sgns._scatter_add: " + "; ".join(found)
+
+
+def test_scatter_guard_sees_add_at(tmp_path):
+    rogue = tmp_path / "rogue.py"
+    rogue.write_text("np.add.at(m, rows, g)\nnumpy.add.at(m, rows, g)\nnp.add(m, g)\n"
+                     "m.at(3)\n")
+    assert [hit.split(":")[1] for hit in _add_at_calls(rogue)] == ["1", "2"]
 
 
 def small_corpus(n_sentences=40, vocab_size=12, length=6, seed=0):
