@@ -24,7 +24,7 @@ def write_text(path: str | Path, words: Sequence[str], matrix: np.ndarray) -> No
     with fileio.output(path, "w", encoding="utf-8") as f:
         f.write(f"{matrix.shape[0]} {matrix.shape[1]}\n")
         for word, row in zip(words, matrix):
-            f.write(word + " " + " ".join(repr(float(x)) for x in row) + "\n")
+            f.write(word + " " + " ".join(map(repr, row.tolist())) + "\n")
 
 
 def read_text(path: str | Path) -> tuple[list[str], np.ndarray]:
@@ -45,7 +45,7 @@ def read_text(path: str | Path) -> tuple[list[str], np.ndarray]:
                     path, lineno, f"expected a word and {dim} floats, got {len(fields)} fields"
                 )
             try:
-                rows[len(words)] = [float(x) for x in fields[1:]]
+                rows[len(words)] = np.array(fields[1:], dtype=np.float64)
             except ValueError:
                 raise ParseError(path, lineno, f"non-numeric vector component in {line!r}")
             words.append(fields[0])

@@ -195,13 +195,19 @@ def build_pairsets(
 
 
 def _distinct_unordered(pairs: np.ndarray) -> np.ndarray:
-    """Distinct unordered pairs, self-pairs removed, sorted for determinism."""
-    if len(pairs) == 0:
-        return pairs.reshape(0, 2)
+    """Distinct unordered pairs, self-pairs removed, sorted for determinism.
+
+    Each pair is coded as one integer, ``(lo - base) * span + (hi - base)``,
+    whose order is the pairs' row order, so a 1-D unique sorts them.
+    """
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
     keep = lo != hi
-    return np.unique(np.stack([lo[keep], hi[keep]], axis=1), axis=0)
+    lo, hi = lo[keep], hi[keep]
+    base = lo.min(initial=0)
+    span = hi.max(initial=0) - base + 1
+    codes = np.unique((lo - base) * span + (hi - base))
+    return np.stack([codes // span + base, codes % span + base], axis=1)
 
 
 def _subsample(pool: np.ndarray, size: int, rng: np.random.Generator, kind: str) -> np.ndarray:

@@ -154,6 +154,55 @@ def write_pairs(path: str | Path, dataset: PairDataset, meta: dict | None = None
 def read_pairs(path: str | Path) -> tuple[PairDataset, dict[str, str]]:
     with open(path, encoding="utf-8") as f:
         meta = fileio.read_header(f, path, "pairs")
+        columns = _pair_columns(f)
+    if columns is None:  # not write_pairs' exact layout: parse line by line
+        columns = _read_pair_lines(path)
+    return PairDataset(*columns), meta
+
+
+# The separators of a `<focus> <context> <position> <origin>` line (three
+# spaces, then the newline after the origin flag), and the longest id field
+# the fast parse takes: 18 digits stay below 2**63.
+_SEPARATORS = np.array([ord(" "), ord(" "), ord(" "), ord("\n")], dtype=np.uint8)
+_MAX_ID_DIGITS = 18
+
+
+def _pair_columns(f) -> tuple | None:
+    """The columns of the rest of ``f`` when every line reads exactly as
+    write_pairs writes it (ASCII digits, single spaces, a one-letter origin,
+    a newline), parsed array-at-a-time; None otherwise."""
+    try:
+        text = np.frombuffer(bytearray(f.read(), "ascii"), dtype=np.uint8)
+    except UnicodeError:
+        return None
+    marks = np.flatnonzero(text - ord("0") >= 10)  # every byte that is not a digit
+    if len(marks) % 5 or text[-1:].tolist() != [ord("\n")]:
+        return None
+    marks = marks.reshape(-1, 5)  # per line: three spaces, the origin flag, the newline
+    kinds = text[marks]
+    augmented = kinds[:, 3] == ord(ORIGIN_AUGMENTED)
+    if ((kinds[:, [0, 1, 2, 4]] != _SEPARATORS).any()
+            or not (augmented | (kinds[:, 3] == ord(ORIGIN_NATURAL))).all()
+            or (marks[:, 4] - marks[:, 2] != 2).any()):  # space, flag, newline adjacent
+        return None
+    left = np.concatenate([[-1], marks[:-1, 4]])
+    for j in range(3):
+        width = marks[:, j] - left - 1
+        if ((width < 1) | (width > _MAX_ID_DIGITS)).any():
+            return None
+        left = marks[:, j]
+    text[marks[:, 3]] = ord(" ")
+    n_lines = len(marks)
+    del marks, left  # free before the parse allocates the ids
+    ids = np.fromstring(text, dtype=np.int64, count=3 * n_lines, sep=" ").reshape(-1, 3)
+    return (*np.ascontiguousarray(ids.T),
+            np.where(augmented, ORIGIN_AUGMENTED, ORIGIN_NATURAL))
+
+
+def _read_pair_lines(path: str | Path) -> tuple:
+    """The columns of a pair file, line by line; a ParseError names the bad line."""
+    with open(path, encoding="utf-8") as f:
+        f.readline()
         focus, context, position, origin = [], [], [], []
         for lineno, fields in fileio.records(f, path, "<focus> <context> <position> <origin>"):
             try:
@@ -165,4 +214,4 @@ def read_pairs(path: str | Path) -> tuple[PairDataset, dict[str, str]]:
             if fields[3] not in (ORIGIN_NATURAL, ORIGIN_AUGMENTED):
                 raise ParseError(path, lineno, f"unknown origin flag {fields[3]!r}")
             origin.append(fields[3])
-    return PairDataset(focus, context, position, origin), meta
+    return focus, context, position, origin

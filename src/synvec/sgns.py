@@ -15,6 +15,14 @@ in batch order, then the negative ones pair-major (pair 0's k draws, then
 pair 1's). Floating-point addition does not associate, so this order is part
 of the bitwise contract.
 
+A step runs in two parts. Its plan holds what does not depend on the model:
+the drawn negatives, the ``output`` rows (contexts, then negatives
+pair-major) and the scatter rounds that apply the additions in that order
+(see ``_scatter_add``). The kernel gathers the rows, takes the gradients and
+adds them. ``train`` plans ``PLAN_BATCHES`` batches at a time, drawing their
+negatives batch by batch as the steps would, then runs the kernel on each;
+``train_step`` plans one batch and runs the same kernel.
+
 All floating point work is float64 and every random draw comes from a
 sub-seed derived from the config seed, so single-threaded training is
 bitwise reproducible.
@@ -24,12 +32,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import Vocabulary
 from .pairgen import PairDataset
 from .seeds import derive_seed, derived_rng
+
+# Batches planned at a time, so the plans' memory is bounded by one chunk.
+PLAN_BATCHES = 1024
 
 
 class TrainingError(RuntimeError):
@@ -165,6 +177,32 @@ def pair_loss(model: EmbeddingModel, focus: int, context: int, negatives) -> flo
     return float(_softplus(-pos_score) + _softplus(neg_scores).sum())
 
 
+def _gradients(v: np.ndarray, u: np.ndarray, k: int):
+    """Losses and gradients of a batch at the current parameters.
+
+    ``v`` holds the batch's ``input`` rows (B, d); ``u`` its ``output`` rows
+    (B * (k + 1), d), the B context rows first and then the negatives
+    pair-major. Returns (losses, g_input, g_output) with g_output laid out
+    as ``u``, which is the order the module docstring gives for the
+    additions.
+    """
+    b, d = v.shape
+    uc, un = u[:b], u[b:].reshape(b, k, d)
+    scores = np.empty((b, k + 1))           # positive score, then the k negatives
+    np.einsum("bd,bd->b", uc, v, out=scores[:, 0])
+    np.einsum("bkd,bd->bk", un, v, out=scores[:, 1:])
+    s = _sigmoid(scores)
+    s[:, 0] -= 1.0
+    scores[:, 0] *= -1.0
+    sp = _softplus(scores)
+    losses = sp[:, 0] + sp[:, 1:].sum(axis=1)
+    g_out = np.empty_like(u)
+    np.multiply(s[:, :1], v, out=g_out[:b])
+    np.multiply(s[:, 1:, None], v[:, None, :], out=g_out[b:].reshape(b, k, d))
+    g_in = s[:, :1] * uc + np.einsum("bk,bkd->bd", s[:, 1:], un)
+    return losses, g_in, g_out
+
+
 def _batch_gradients(model, foc, ctx, negs):
     """Loss and parameter gradients for a batch of pairs with fixed negatives.
 
@@ -172,18 +210,10 @@ def _batch_gradients(model, foc, ctx, negs):
     gradient w.r.t. input[foc] rows, g_context w.r.t. output[ctx] rows and
     g_negatives w.r.t. output[negs] rows, all at the current parameters.
     """
-    v = model.input[foc]                    # (B, d)
-    uc = model.output[ctx]                  # (B, d)
-    un = model.output[negs]                 # (B, k, d)
-    pos_score = np.einsum("bd,bd->b", uc, v)
-    neg_score = np.einsum("bkd,bd->bk", un, v)
-    losses = _softplus(-pos_score) + _softplus(neg_score).sum(axis=1)
-    s_pos = _sigmoid(pos_score)
-    s_neg = _sigmoid(neg_score)
-    g_ctx = (s_pos - 1.0)[:, None] * v
-    g_neg = s_neg[:, :, None] * v[:, None, :]
-    g_in = (s_pos - 1.0)[:, None] * uc + np.einsum("bk,bkd->bd", s_neg, un)
-    return losses, g_in, g_ctx, g_neg
+    b, k = negs.shape
+    losses, g_in, g_out = _gradients(
+        model.input[foc], model.output[np.concatenate([ctx, negs.reshape(-1)])], k)
+    return losses, g_in, g_out[:b], g_out[b:].reshape(b, k, -1)
 
 
 def pair_gradients(model: EmbeddingModel, focus: int, context: int, negatives):
@@ -218,6 +248,50 @@ def draw_negatives(
     return negs
 
 
+class _Rounds(NamedTuple):
+    """Scatter rounds of a run of batches of row ids.
+
+    Round j of a batch holds the j-th occurrence of each of its rows, so
+    the rows within a round are distinct. Round r spans
+    ``rows[bounds[r]:bounds[r + 1]]``, with ``positions`` giving each row's
+    index in its batch, in increasing order; batch i owns rounds
+    ``first[i]`` to ``first[i + 1] - 1``.
+    """
+
+    rows: np.ndarray
+    positions: np.ndarray
+    bounds: list[int]
+    first: list[int]
+
+
+def _plan_rounds(rows: np.ndarray, starts: np.ndarray) -> _Rounds:
+    """The scatter rounds of ``rows``, cut into batches at ``starts``
+    (ascending, from 0 to ``len(rows)``), for every batch at once."""
+    batch = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    key = batch * (int(rows.max()) + 1) + rows  # (batch, row), in that order
+    order = key.argsort(kind="stable")
+    ranked = key[order]
+    rank = np.empty_like(rows)              # occurrence number of each row in its batch
+    rank[order] = np.arange(len(rows)) - ranked.searchsorted(ranked)
+    key = batch * (int(rank.max()) + 1) + rank  # (batch, round)
+    by_round = key.argsort(kind="stable")   # stable: positions increase within a round
+    bounds = np.concatenate([[0], np.flatnonzero(np.diff(key[by_round])) + 1, [len(rows)]])
+    return _Rounds(rows[by_round], by_round - starts[batch[by_round]], bounds.tolist(),
+                   bounds.searchsorted(starts).tolist())
+
+
+def _add_rounds(matrix: np.ndarray, rounds: _Rounds, i: int, updates: np.ndarray) -> None:
+    """``matrix[row] += update`` for batch ``i`` of ``rounds``, round by round."""
+    first, last = rounds.first[i], rounds.first[i + 1]
+    bounds = rounds.bounds
+    if last - first == 1:                   # distinct rows, positions in order
+        matrix[rounds.rows[bounds[first]:bounds[last]]] += updates
+        return
+    for r in range(first, last):
+        lo, hi = bounds[r], bounds[r + 1]
+        matrix[rounds.rows[lo:hi]] += updates[rounds.positions[lo:hi]]
+
+
 def _scatter_add(matrix: np.ndarray, rows: np.ndarray, updates: np.ndarray) -> None:
     """``matrix[rows[i]] += updates[i]`` for every i, in index order per row.
 
@@ -227,12 +301,54 @@ def _scatter_add(matrix: np.ndarray, rows: np.ndarray, updates: np.ndarray) -> N
     a loop over i, so the bits are those of numpy's unbuffered ufunc ``at``
     method, without its per-element cost.
     """
-    order = rows.argsort(kind="stable")
-    ranked = rows[order]
-    rank = np.arange(len(rows)) - ranked.searchsorted(ranked)  # occurrence number in its row
-    for j in range(rank.max() + 1):
-        sel = order[rank == j]
-        matrix[rows[sel]] += updates[sel]
+    _add_rounds(matrix, _plan_rounds(rows, np.array([0, len(rows)])), 0, updates)
+
+
+class _Plan(NamedTuple):
+    """Everything about a run of SGD steps that does not depend on the model:
+    the ``input`` rows, the ``output`` rows (per batch the contexts, then the
+    negatives pair-major) and the scatter rounds of both."""
+
+    k: int
+    starts: list[int]                       # batch i is pairs starts[i]:starts[i + 1]
+    foc: np.ndarray
+    out: np.ndarray
+    input_rounds: _Rounds
+    output_rounds: _Rounds
+
+
+def _plan(
+    foc: np.ndarray,
+    ctx: np.ndarray,
+    batch_size: int,
+    k: int,
+    noise: NoiseDistribution,
+    rng: np.random.Generator,
+) -> _Plan:
+    """Draw the negatives batch by batch, in the order steps would, and plan
+    the steps over ``foc``/``ctx`` in batches of ``batch_size``."""
+    starts = np.append(np.arange(0, len(foc), batch_size), len(foc))
+    pieces = []
+    for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        pieces += [ctx[lo:hi], draw_negatives(ctx[lo:hi], k, noise, rng).reshape(-1)]
+    out = np.concatenate(pieces)
+    return _Plan(k, starts.tolist(), foc, out, _plan_rounds(foc, starts),
+                 _plan_rounds(out, starts * (k + 1)))
+
+
+def _kernel(model: EmbeddingModel, plan: _Plan, i: int, lr: float) -> float:
+    """Apply step ``i`` of ``plan`` to the model in place: take every gradient
+    at the current parameters, then add them in the module docstring's
+    order. Returns the batch mean loss."""
+    lo, hi = plan.starts[i], plan.starts[i + 1]
+    width = plan.k + 1
+    losses, g_in, g_out = _gradients(model.input[plan.foc[lo:hi]],
+                                     model.output[plan.out[lo * width:hi * width]], plan.k)
+    g_in *= -lr
+    g_out *= -lr
+    _add_rounds(model.input, plan.input_rounds, i, g_in)
+    _add_rounds(model.output, plan.output_rounds, i, g_out)
+    return float(losses.sum() / (hi - lo))
 
 
 def train_step(
@@ -244,21 +360,15 @@ def train_step(
     rng: np.random.Generator,
 ) -> tuple[EmbeddingModel, float]:
     """One SGD step over a batch of (foc[i], ctx[i]) id pairs: draw the
-    negatives, take every gradient at the current parameters, then add them
-    in the order the module docstring gives.
+    negatives, plan the one batch, then run the kernel that ``train`` runs.
 
     The model is updated in place and returned along with the batch mean
     loss.
     """
     if len(foc) == 0:
         raise ValueError("batch must be non-empty")
-    negs = draw_negatives(ctx, config.negatives, noise, rng)
-    losses, g_in, g_ctx, g_neg = _batch_gradients(model, foc, ctx, negs)
-    lr = config.learning_rate
-    _scatter_add(model.input, foc, -lr * g_in)
-    _scatter_add(model.output, np.concatenate([ctx, negs.reshape(-1)]),
-                 -lr * np.concatenate([g_ctx, g_neg.reshape(-1, model.dim)]))
-    return model, float(losses.mean())
+    plan = _plan(foc, ctx, len(foc), config.negatives, noise, rng)
+    return model, _kernel(model, plan, 0, config.learning_rate)
 
 
 def train(
@@ -294,15 +404,16 @@ def train(
         neg_rng = derived_rng(config.seed, "sgns.negatives", epoch)
         focus, context = dataset.focus[order], dataset.context[order]
         total = 0.0
-        for batch_index, start in enumerate(range(0, n, config.batch_size)):
-            foc = focus[start:start + config.batch_size]
-            ctx = context[start:start + config.batch_size]
-            _, mean_loss = train_step(model, foc, ctx, noise, config, neg_rng)
-            if not np.isfinite(mean_loss):
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, batch {batch_index}"
-                )
-            total += mean_loss * len(foc)
+        chunk = PLAN_BATCHES * config.batch_size
+        for start in range(0, n, chunk):
+            plan = _plan(focus[start:start + chunk], context[start:start + chunk],
+                         config.batch_size, config.negatives, noise, neg_rng)
+            for i in range(len(plan.starts) - 1):
+                mean_loss = _kernel(model, plan, i, config.learning_rate)
+                if not np.isfinite(mean_loss):
+                    raise TrainingError(f"non-finite loss at epoch {epoch}, "
+                                        f"batch {start // config.batch_size + i}")
+                total += mean_loss * (plan.starts[i + 1] - plan.starts[i])
         epoch_losses.append(total / n)
         if on_epoch is not None:
             on_epoch(epoch, model, epoch_losses[-1])

@@ -66,6 +66,27 @@ class TestTextFormat:
         with pytest.raises(ParseError, match=r":4: non-finite vector component for word 'b'"):
             read_text(path)
 
+    @pytest.mark.parametrize("token", [
+        "1_0", "1_0.0_1", "infinity", "-Infinity", "iNfInItY", "nan", "-nan", "\u0661\u0662",
+        "\u0661.\u0665", "1e500", "-1e500", "0x1p3", "0x10", "5e-324", "4.9e-324",
+        "2.2250738585072014e-308", "1e-400", "+.5", "-0", "1E5", "1__0", "_1", "1_", "1e", ".",
+        "0b1", "1d5", "1,5", "nan(1)",
+    ])
+    def test_component_reads_as_float_reads_it(self, tmp_path, token):
+        path = tmp_path / "e.txt"
+        path.write_text(f"1 2\nw 0.5 {token}\n", encoding="utf-8")
+        try:
+            value = float(token)
+        except ValueError:
+            with pytest.raises(ParseError, match=r":2: non-numeric vector component"):
+                read_text(path)
+            return
+        if not np.isfinite(value):
+            with pytest.raises(ParseError, match=r":2: non-finite vector component"):
+                read_text(path)
+            return
+        assert struct.pack("<d", read_text(path)[1][0, 1]) == struct.pack("<d", value)
+
     def test_word_with_whitespace_rejected_on_write(self, tmp_path):
         with pytest.raises(ValueError, match="whitespace"):
             write_text(tmp_path / "e.txt", ["a b"], np.ones((1, 2)))

@@ -10,6 +10,7 @@ from synvec.eval_intrinsic import (
     SimilarityDataset,
     _average_ranks,
     _cosine_distances,
+    _distinct_unordered,
     build_pairsets,
     cosine_distance,
     load_similarity,
@@ -367,3 +368,15 @@ class TestDatasetLoaders:
         path.write_text("word1\tword2\tSimLex999\ncat\tdog\tinf\n")
         with pytest.raises(ParseError, match="non-finite"):
             load_similarity(path)
+
+
+@given(st.lists(st.tuples(st.integers(-5, 40), st.integers(-5, 40)), max_size=60))
+def test_distinct_unordered_matches_row_unique(pairs):
+    """The 1-D coded unique against np.unique over rows."""
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    keep = lo != hi
+    expected = np.unique(np.stack([lo[keep], hi[keep]], axis=1), axis=0)
+    got = _distinct_unordered(pairs)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.array_equal(got, expected)

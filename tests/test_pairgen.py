@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from synvec.errors import ParseError
 from synvec.pairgen import (
     ORIGIN_AUGMENTED,
     ORIGIN_NATURAL,
     PairDataset,
+    _read_pair_lines,
     generate_pairs,
     keep_probability,
     read_pairs,
@@ -154,3 +156,70 @@ class TestPairFile:
         path.write_text("#pairs v1\n0 1 1 Q\n")
         with pytest.raises(ParseError, match="origin"):
             read_pairs(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("4 5 1 NA", r":3: unknown origin flag 'NA'"),
+        ("4 5 1 N1", r":3: unknown origin flag 'N1'"),
+        ("4 1.0 1 N", r":3: non-integer id field"),
+        ("4 5 1 N 7", r":3: expected '<focus> <context> <position> <origin>'"),
+    ])
+    def test_bad_line_among_good_ones_is_named(self, tmp_path, line, message):
+        path = tmp_path / "pairs.txt"
+        path.write_text(f"#pairs v1\n0 1 1 N\n{line}\n2 3 1 A\n")
+        with pytest.raises(ParseError, match=message):
+            read_pairs(path)
+
+    def test_whitespace_only_line_skipped(self, tmp_path):
+        path = tmp_path / "pairs.txt"
+        path.write_text("#pairs v1\n0 1 1 N\n \t \n2 3 1 A\n")
+        assert read_pairs(path)[0] == PairDataset([0, 2], [1, 3], [1, 1], ["N", "A"])
+
+    @pytest.mark.parametrize("body", [
+        "0 1 1 N\n+5 007 1 A\n",               # sign, leading zeros
+        "1234567890123456789 1 1 N\n",         # 19 digits: past the fast parse
+        "00000000000000000001 1 1 N\n",        # 20 digits, a small value
+        "9999999999999999999 1 1 N\n",         # 19 digits, past int64
+        "0 1 1 N\n 5 1 N\n",                    # an empty first field
+        "0\t1  1 N \n",                        # tab, runs of spaces, trailing space
+        "0 1 1 N\n2 3 1 A",                     # no final newline
+        "0 1 1 N\r\n2 3 1 A\r\n",              # CRLF
+        "\n\n",                                 # blank lines only
+        "",                                     # header only
+    ])
+    def test_other_layouts_read_as_line_by_line(self, tmp_path, body):
+        path = tmp_path / "pairs.txt"
+        path.write_bytes(b"#pairs v1\n" + body.encode())
+        assert _read_outcome(read_pairs, path) == _read_outcome(_read_by_lines, path)
+
+
+def _read_by_lines(path):
+    return PairDataset(*_read_pair_lines(path)), {}
+
+
+def _read_outcome(read, path):
+    try:
+        return read(path)[0]
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(1, 9),
+                             st.sampled_from("NA")), min_size=1, max_size=6),
+    edits=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 2),
+                             st.sampled_from([" ", "  ", "\t", "\n", "\r", "\x0b", "\xa0", "N",
+                                              "A", "NA", "0", "9", "-", "+", ".", "_", "e",
+                                              "\u0663", "#", "x"])),
+                   max_size=3),
+)
+def test_fast_parse_agrees_with_line_loop(tmp_path_factory, pairs, edits):
+    """Every body, edited or not, reads as the per-line loop reads it: the
+    same columns, or the same error naming the same line."""
+    body = "".join(f"{f} {c} {p} {o}\n" for f, c, p, o in pairs)
+    for at, cut, text in edits:  # replace body[at:at + cut] with text
+        at = min(at, len(body))
+        body = body[:at] + text + body[at + cut:]
+    path = tmp_path_factory.mktemp("pairs") / "pairs.txt"
+    path.write_text("#pairs v1\n" + body, encoding="utf-8")
+    assert _read_outcome(read_pairs, path) == _read_outcome(_read_by_lines, path)

@@ -366,16 +366,89 @@ def test_epoch_matches_add_at_reference(monkeypatch):
 
     step_losses = []
 
-    def recording_step(*args):
-        model, loss = train_step(*args)
+    def recording_kernel(*args):
+        loss = kernel(*args)
         step_losses.append(loss)
-        return model, loss
+        return loss
 
-    monkeypatch.setattr(sgns, "train_step", recording_step)
+    kernel = sgns._kernel
+    monkeypatch.setattr(sgns, "_kernel", recording_kernel)
     model, _ = train(dataset, vocab, config)
     assert np.array_equal(bits(model.input), bits(reference.input))
     assert np.array_equal(bits(model.output), bits(reference.output))
     assert np.array_equal(bits(np.array(step_losses)), bits(np.array(expected_losses)))
+
+
+def reference_step(model, foc, ctx, negs, lr):
+    """One SGD step written out plainly: every gradient at the current
+    parameters, applied with np.add.at, input in batch order, output context
+    first and then negatives pair-major. Returns the batch mean loss."""
+    v, uc, un = model.input[foc], model.output[ctx], model.output[negs]
+    pos, neg = np.einsum("bd,bd->b", uc, v), np.einsum("bkd,bd->bk", un, v)
+    losses = np.logaddexp(0.0, -pos) + np.logaddexp(0.0, neg).sum(axis=1)
+    s_pos, s_neg = 0.5 * (np.tanh(0.5 * pos) + 1.0), 0.5 * (np.tanh(0.5 * neg) + 1.0)
+    g_in = (s_pos - 1.0)[:, None] * uc + np.einsum("bk,bkd->bd", s_neg, un)
+    g_ctx = (s_pos - 1.0)[:, None] * v
+    g_neg = s_neg[:, :, None] * v[:, None, :]
+    np.add.at(model.input, foc, -lr * g_in)
+    np.add.at(model.output, ctx, -lr * g_ctx)
+    np.add.at(model.output, negs.reshape(-1), -lr * g_neg.reshape(-1, v.shape[1]))
+    return float(losses.mean())
+
+
+def test_epoch_over_several_plan_chunks_matches_reference():
+    """Three plan chunks, the last one a single ragged batch, against the
+    plain np.add.at step."""
+    vocab = make_vocab({f"w{i}": 12 - i for i in range(7)})
+    config = TrainConfig(dim=5, negatives=3, epochs=1, learning_rate=0.2, batch_size=2, seed=3)
+    n = 2 * sgns.PLAN_BATCHES * config.batch_size + 1
+    rng = np.random.default_rng(11)
+    dataset = PairDataset(rng.integers(0, 7, n), rng.integers(0, 7, n), np.ones(n), ["N"] * n)
+
+    reference = init_random(len(vocab), config.dim, derive_seed(config.seed, "sgns.init"))
+    noise = noise_distribution(vocab, config.noise_exponent)
+    order = derived_rng(config.seed, "sgns.shuffle", 0).permutation(n)
+    neg_rng = derived_rng(config.seed, "sgns.negatives", 0)
+    focus, context = dataset.focus[order], dataset.context[order]
+    total = 0.0
+    for start in range(0, n, config.batch_size):
+        foc, ctx = focus[start:start + config.batch_size], context[start:start + config.batch_size]
+        negs = draw_negatives(ctx, config.negatives, noise, neg_rng)
+        total += reference_step(reference, foc, ctx, negs, config.learning_rate) * len(foc)
+
+    model, losses = train(dataset, vocab, config)
+    assert np.array_equal(bits(model.input), bits(reference.input))
+    assert np.array_equal(bits(model.output), bits(reference.output))
+    assert bits(np.array(losses)).tolist() == bits(np.array([total / n])).tolist()
+
+
+def test_train_step_is_the_first_step_of_train(monkeypatch):
+    vocab = make_vocab({f"w{i}": 9 - i for i in range(6)})
+    config = TrainConfig(dim=6, negatives=4, epochs=1, learning_rate=0.3, batch_size=5, seed=2)
+    rng = np.random.default_rng(4)
+    dataset = PairDataset(rng.integers(0, 6, 17), rng.integers(0, 6, 17), np.ones(17), ["N"] * 17)
+    initial = init_random(len(vocab), config.dim, seed=8)
+
+    first = []
+
+    def recording_kernel(model, *args):
+        loss = kernel(model, *args)
+        if not first:
+            first.append((model.copy(), loss))
+        return loss
+
+    kernel = sgns._kernel
+    monkeypatch.setattr(sgns, "_kernel", recording_kernel)
+    train(dataset, vocab, config, initial=initial.copy())
+
+    order = derived_rng(config.seed, "sgns.shuffle", 0).permutation(len(dataset))
+    batch = order[:config.batch_size]
+    model, loss = train_step(initial, dataset.focus[batch], dataset.context[batch],
+                             noise_distribution(vocab, config.noise_exponent), config,
+                             derived_rng(config.seed, "sgns.negatives", 0))
+    assert np.array_equal(bits(model.input), bits(first[0][0].input))
+    assert np.array_equal(bits(model.output), bits(first[0][0].output))
+    assert bits(np.array([loss])).tolist() == bits(np.array([first[0][1]])).tolist()
 
 
 def _add_at_calls(path: Path) -> list[str]:
@@ -459,6 +532,20 @@ class TestTrain:
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(TrainingError, match=r"epoch \d+, batch \d+"):
                 train(dataset, vocab, config)
+
+    def test_divergence_names_its_batch_in_a_later_plan_chunk(self):
+        vocab = make_vocab({f"w{i}": 5 for i in range(4)})
+        config = TrainConfig(dim=3, negatives=2, epochs=1, batch_size=1, seed=6)
+        n = sgns.PLAN_BATCHES + 500
+        order = derived_rng(config.seed, "sgns.shuffle", 0).permutation(n)
+        focus = np.zeros(n, dtype=np.int64)
+        focus[order[1300]] = 1  # the only pair whose focus row is NaN, in batch 1300
+        initial = init_random(4, config.dim, seed=0)
+        initial.input[1] = np.nan
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(TrainingError, match=r"epoch 0, batch 1300$"):
+                train(PairDataset(focus, np.full(n, 2), np.ones(n), ["N"] * n), vocab, config,
+                      initial=initial)
 
     def test_shared_contexts_pull_words_together(self):
         # Two words that only ever appear in identical contexts should end
