@@ -55,37 +55,27 @@ def generate_augmented_pairs(
 
     Occurrences are recovered as consecutive runs of the same focus id
     (pair records carry no token index, so directly repeated words merge).
+    The draws go run by run in pair order; each run's synonym, or -1 for
+    none, is then repeated over the run's pairs, and the runs with one
+    make up the pool.
     """
     if natural.n_augmented:
         raise ValueError("input to generate_augmented_pairs must be natural pairs only")
-    n = len(natural)
-    focus, context, position = [], [], []
-    substitutions: list[Substitution] = []
-    cuts = np.flatnonzero(natural.focus[1:] != natural.focus[:-1]) + 1
-    starts = np.concatenate([[0], cuts]) if n else np.empty(0, dtype=np.int64)
-    ends = np.concatenate([cuts, [n]]) if n else np.empty(0, dtype=np.int64)
-    for start, end in zip(starts, ends):
-        focus_id = int(natural.focus[start])
+    focus = natural.focus
+    starts = np.flatnonzero(np.diff(focus, prepend=focus[:1] - 1))
+    synonyms = np.full(len(starts), -1)
+    for run, focus_id in enumerate(focus[starts].tolist()):
         word = vocab.words[focus_id]
-        if not is_candidate(word, lexicon):
-            continue
-        synonym = sample_synonym(word, lexicon, vocab, rng)
-        if synonym is None:
-            continue
-        focus.append(np.full(end - start, synonym, dtype=np.int64))
-        context.append(natural.context[start:end])
-        position.append(natural.position[start:end])
-        substitutions.append((focus_id, synonym))
-    if not focus:
-        return PairDataset.empty(), []
-    focus = np.concatenate(focus)
-    augmented = PairDataset(
-        focus,
-        np.concatenate(context),
-        np.concatenate(position),
-        np.full(len(focus), ORIGIN_AUGMENTED, dtype="<U1"),
-    )
-    return augmented, substitutions
+        if is_candidate(word, lexicon):
+            synonym = sample_synonym(word, lexicon, vocab, rng)
+            if synonym is not None:
+                synonyms[run] = synonym
+    runs = np.diff(starts, append=len(focus))
+    drawn = synonyms >= 0
+    pooled = np.repeat(drawn, runs)
+    augmented = PairDataset(np.repeat(synonyms[drawn], runs[drawn]), natural.context[pooled],
+                            natural.position[pooled], np.full(int(pooled.sum()), ORIGIN_AUGMENTED))
+    return augmented, list(zip(focus[starts[drawn]].tolist(), synonyms[drawn].tolist()))
 
 
 def augmented_count(n_natural: int, ratio: float) -> int:

@@ -267,6 +267,8 @@ def cmd_augment(p):
          Param("checkpoint_every", int, 0, "write <out>.epochN snapshots every N epochs"),
          OUT)
 def cmd_train(p):
+    if p.checkpoint_every < 0:
+        raise UsageError(f"checkpoint_every must be >= 0, got {p.checkpoint_every}")
     config = sgns.TrainConfig(
         dim=p.dim, negatives=p.negatives, epochs=p.epochs, learning_rate=p.lr,
         batch_size=p.batch, seed=derive_seed(p.seed, "sgns"),

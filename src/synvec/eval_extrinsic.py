@@ -24,8 +24,8 @@ from .errors import ParseError
 from .sgns import EmbeddingModel
 from .transport import solve_transport
 
-# Two-sided normal quantiles for the supported confidence levels.
-_Z_BY_LEVEL = {0.90: 1.644854, 0.95: 1.959964, 0.99: 2.575829}
+# Two-sided normal quantile of a 95% confidence interval.
+_Z_95 = 1.959964
 
 
 @dataclass
@@ -141,14 +141,12 @@ def rwmd(
     return max(forward, backward)
 
 
-def accuracy_ci(correct: int, total: int, level: float = 0.95) -> tuple[float, float]:
-    """Accuracy and the half-width of its normal-approximation interval."""
+def accuracy_ci(correct: int, total: int) -> tuple[float, float]:
+    """Accuracy and the half-width of its 95% normal-approximation interval."""
     if total < 1:
         raise ValueError("total must be >= 1")
-    if level not in _Z_BY_LEVEL:
-        raise ValueError(f"unsupported level {level}; choose from {sorted(_Z_BY_LEVEL)}")
     p = correct / total
-    half_width = _Z_BY_LEVEL[level] * math.sqrt(p * (1.0 - p) / total)
+    half_width = _Z_95 * math.sqrt(p * (1.0 - p) / total)
     return p, half_width
 
 

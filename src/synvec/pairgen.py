@@ -7,6 +7,7 @@ offset c from its focus word is kept independently with probability
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 from typing import Iterable
 
@@ -106,37 +107,35 @@ def generate_pairs(encoded: EncodedCorpus, C: int, seed: int) -> PairDataset:
     keep_probability(c, C). Each sentence draws randomness from its own
     sub-seed, so generation order (or parallel generation) cannot change
     the result.
+
+    The candidates are whole columns over the flattened corpus. The token
+    at position p of an n-token sentence has min(p, C) + min(n - 1 - p, C)
+    contexts; its index repeated that often is the focus column, already
+    focus-major, and the rank within its block, skipping the focus itself,
+    gives the contexts in reading order.
     """
     if C < 1:
         raise ValueError(f"max context size must be >= 1, got {C}")
-    parts = []
-    for index, sentence in enumerate(encoded):
-        ids = np.asarray(sentence, dtype=np.int64)
-        n = len(ids)
-        if n < 2:
-            continue
-        foc_idx, ctx_idx = [], []
-        for c in range(1, min(C, n - 1) + 1):
-            right = np.arange(n - c)
-            foc_idx.extend((right + c, right))
-            ctx_idx.extend((right, right + c))
-        fi = np.concatenate(foc_idx)
-        ci = np.concatenate(ctx_idx)
-        # Focus-major, then context order: mirrors reading order of the corpus.
-        order = np.lexsort((ci, fi))
-        fi, ci = fi[order], ci[order]
-        offsets = np.abs(fi - ci)
-        rng = derived_rng(seed, "pairgen.sentence", index)
-        keep = rng.random(len(fi)) < (C - offsets + 1) / C
-        parts.append(
-            PairDataset(
-                ids[fi[keep]],
-                ids[ci[keep]],
-                offsets[keep],
-                np.full(int(keep.sum()), ORIGIN_NATURAL, dtype="<U1"),
-            )
-        )
-    return PairDataset.concat(parts)
+    lengths = np.array([len(sentence) for sentence in encoded], dtype=np.int64)
+    ids = np.fromiter(itertools.chain.from_iterable(encoded), np.int64, int(lengths.sum()))
+    ends = np.cumsum(lengths)
+    token = np.arange(len(ids))
+    before = np.minimum(token - np.repeat(ends - lengths, lengths), C)
+    count = before + np.minimum(np.repeat(ends, lengths) - 1 - token, C)
+    fi = np.repeat(token, count)
+    block = np.cumsum(count)                # candidates through each focus
+    step = np.arange(len(fi)) - np.repeat(block - count + before, count)
+    step += step >= 0                       # -before..-1, then 1..after
+    ci = fi + step
+    offsets = np.abs(step, out=step)
+    bounds = np.concatenate([[0], block])[ends].tolist()  # through each sentence
+    draws = np.empty(len(fi))
+    for index, (lo, hi) in enumerate(zip([0, *bounds], bounds)):
+        if hi > lo:
+            derived_rng(seed, "pairgen.sentence", index).random(out=draws[lo:hi])
+    keep = draws < (C - offsets + 1) / C
+    return PairDataset(ids[fi[keep]], ids[ci[keep]], offsets[keep],
+                       np.full(int(keep.sum()), ORIGIN_NATURAL))
 
 
 # --- file format -------------------------------------------------------------

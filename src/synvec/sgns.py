@@ -18,7 +18,7 @@ of the bitwise contract.
 A step runs in two parts. Its plan holds what does not depend on the model:
 the drawn negatives, the ``output`` rows (contexts, then negatives
 pair-major) and the scatter rounds that apply the additions in that order
-(see ``_scatter_add``). The kernel gathers the rows, takes the gradients and
+(see ``_add_rounds``). The kernel gathers the rows, takes the gradients and
 adds them. ``train`` plans ``PLAN_BATCHES`` batches at a time, drawing their
 negatives batch by batch as the steps would, then runs the kernel on each;
 ``train_step`` plans one batch and runs the same kernel.
@@ -36,6 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import embed_io
 from .corpus import Vocabulary
 from .pairgen import PairDataset
 from .seeds import derive_seed, derived_rng
@@ -108,8 +109,8 @@ class TrainConfig:
         for name in ("dim", "negatives", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < np.inf:  # NaN fails both comparisons
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
 
 
 def init_random(vocab_size: int, dim: int, seed: int) -> EmbeddingModel:
@@ -136,8 +137,6 @@ def init_pretrained(
     is assumed unavailable). Returns the model and the fraction of the
     vocabulary covered by the file.
     """
-    from . import embed_io
-
     words, matrix = (embed_io.read_binary if binary else embed_io.read_text)(embedding_file)
     if matrix.shape[1] != dim:
         raise ValueError(f"embedding file has dim {matrix.shape[1]}, expected {dim}")
@@ -203,30 +202,15 @@ def _gradients(v: np.ndarray, u: np.ndarray, k: int):
     return losses, g_in, g_out
 
 
-def _batch_gradients(model, foc, ctx, negs):
-    """Loss and parameter gradients for a batch of pairs with fixed negatives.
-
-    Returns (losses, g_input, g_context, g_negatives) where g_input is the
-    gradient w.r.t. input[foc] rows, g_context w.r.t. output[ctx] rows and
-    g_negatives w.r.t. output[negs] rows, all at the current parameters.
-    """
-    b, k = negs.shape
-    losses, g_in, g_out = _gradients(
-        model.input[foc], model.output[np.concatenate([ctx, negs.reshape(-1)])], k)
-    return losses, g_in, g_out[:b], g_out[b:].reshape(b, k, -1)
-
-
 def pair_gradients(model: EmbeddingModel, focus: int, context: int, negatives):
     """Analytic gradients of pair_loss for a single pair.
 
     Returns (g_focus, g_context, g_negatives) with g_negatives of shape
     (k, dim), one row per drawn negative (repeats get their own rows).
     """
-    foc = np.array([focus], dtype=np.int64)
-    ctx = np.array([context], dtype=np.int64)
-    negs = np.asarray(negatives, dtype=np.int64).reshape(1, -1)
-    _, g_in, g_ctx, g_neg = _batch_gradients(model, foc, ctx, negs)
-    return g_in[0], g_ctx[0], g_neg[0]
+    out = np.concatenate([[context], np.asarray(negatives, dtype=np.int64)])
+    _, g_in, g_out = _gradients(model.input[[focus]], model.output[out], len(out) - 1)
+    return g_in[0], g_out[0], g_out[1:]
 
 
 def draw_negatives(
@@ -281,7 +265,13 @@ def _plan_rounds(rows: np.ndarray, starts: np.ndarray) -> _Rounds:
 
 
 def _add_rounds(matrix: np.ndarray, rounds: _Rounds, i: int, updates: np.ndarray) -> None:
-    """``matrix[row] += update`` for batch ``i`` of ``rounds``, round by round."""
+    """``matrix[row] += update`` for batch ``i`` of ``rounds``, round by round.
+
+    The rows within a round are distinct, so one fancy-index add applies
+    it. Every row sees the same additions in the same order as in a loop
+    over the batch, so the bits are those of numpy's unbuffered ufunc
+    ``at`` method, without its per-element cost.
+    """
     first, last = rounds.first[i], rounds.first[i + 1]
     bounds = rounds.bounds
     if last - first == 1:                   # distinct rows, positions in order
@@ -290,18 +280,6 @@ def _add_rounds(matrix: np.ndarray, rounds: _Rounds, i: int, updates: np.ndarray
     for r in range(first, last):
         lo, hi = bounds[r], bounds[r + 1]
         matrix[rounds.rows[lo:hi]] += updates[rounds.positions[lo:hi]]
-
-
-def _scatter_add(matrix: np.ndarray, rows: np.ndarray, updates: np.ndarray) -> None:
-    """``matrix[rows[i]] += updates[i]`` for every i, in index order per row.
-
-    The additions go in rounds: round j adds the j-th occurrence of each
-    row, so the rows within a round are distinct and one fancy-index add
-    applies them. Every row sees the same additions in the same order as in
-    a loop over i, so the bits are those of numpy's unbuffered ufunc ``at``
-    method, without its per-element cost.
-    """
-    _add_rounds(matrix, _plan_rounds(rows, np.array([0, len(rows)])), 0, updates)
 
 
 class _Plan(NamedTuple):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from synvec.augment import (
     RATIO_SWEEP,
@@ -11,7 +12,8 @@ from synvec.augment import (
     read_substitutions,
     write_substitutions,
 )
-from synvec.pairgen import ORIGIN_AUGMENTED, ORIGIN_NATURAL, PairDataset
+from synvec.lexicon import SynonymLexicon, is_candidate, sample_synonym
+from synvec.pairgen import ORIGIN_AUGMENTED, ORIGIN_NATURAL, PairDataset, generate_pairs
 
 from test_lexicon import make_lexicon, make_vocab
 
@@ -113,6 +115,84 @@ class TestGenerateAugmentedPairs:
         for focus, context, position, (orig, syn) in rows:
             assert focus == syn
             assert (orig, context, position) in contexts
+
+
+def reference_generate_augmented_pairs(natural, lexicon, vocab, rng):
+    """generate_augmented_pairs written run by run: each run of one focus id
+    appends its slices of the pool to three lists."""
+    if natural.n_augmented:
+        raise ValueError("input to generate_augmented_pairs must be natural pairs only")
+    n = len(natural)
+    focus, context, position = [], [], []
+    substitutions = []
+    cuts = np.flatnonzero(natural.focus[1:] != natural.focus[:-1]) + 1
+    starts = np.concatenate([[0], cuts]) if n else np.empty(0, dtype=np.int64)
+    ends = np.concatenate([cuts, [n]]) if n else np.empty(0, dtype=np.int64)
+    for start, end in zip(starts, ends):
+        focus_id = int(natural.focus[start])
+        word = vocab.words[focus_id]
+        if not is_candidate(word, lexicon):
+            continue
+        synonym = sample_synonym(word, lexicon, vocab, rng)
+        if synonym is None:
+            continue
+        focus.append(np.full(end - start, synonym, dtype=np.int64))
+        context.append(natural.context[start:end])
+        position.append(natural.position[start:end])
+        substitutions.append((focus_id, synonym))
+    if not focus:
+        return PairDataset.empty(), []
+    focus = np.concatenate(focus)
+    augmented = PairDataset(focus, np.concatenate(context), np.concatenate(position),
+                            np.full(len(focus), ORIGIN_AUGMENTED, dtype="<U1"))
+    return augmented, substitutions
+
+
+WORDS = ["w0", "w1", "w2", "w3", "w4", "w5"]
+
+
+@st.composite
+def augment_cases(draw):
+    """A vocabulary, a lexicon in which a word has 0, 1 or 2+ in-vocabulary
+    synonyms (some records name words outside the vocabulary), and the
+    natural pairs of a corpus whose sentences repeat words side by side."""
+    counts = draw(st.lists(st.integers(1, 9), min_size=len(WORDS), max_size=len(WORDS)))
+    vocab = make_vocab(dict(zip(WORDS, counts)))
+    entries = {}
+    for word in WORDS:
+        synonyms = draw(st.sets(st.sampled_from(WORDS + ["oov1", "oov2"]), max_size=4)) - {word}
+        if synonyms:
+            entries[word] = {("noun", s) for s in synonyms}
+    encoded = draw(st.lists(st.lists(st.integers(0, len(WORDS) - 1), max_size=9), max_size=6))
+    natural = generate_pairs(encoded, draw(st.integers(1, 10)), draw(st.integers(0, 99)))
+    return natural, SynonymLexicon(entries), vocab
+
+
+def planted_case():
+    """w1 has no in-vocabulary synonym, w2 one, w3 three and w4 no record;
+    w3 and w2 repeat side by side."""
+    vocab = make_vocab({"w0": 5, "w1": 4, "w2": 3, "w3": 2, "w4": 6})
+    lexicon = SynonymLexicon({"w1": {("noun", "oov1")}, "w2": {("verb", "w3")},
+                              "w3": {("noun", "w0"), ("noun", "w1"), ("adverb", "w4")}})
+    ids = [vocab.id(w) for w in ["w4", "w3", "w3", "w1", "w2", "w2", "w0", "w3"]]
+    return generate_pairs([ids, [], ids[:1], ids[::-1]], 3, 4), lexicon, vocab
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=augment_cases(), seed=st.integers(0, 2**32))
+@example(case=planted_case(), seed=0)
+@example(case=planted_case(), seed=1)
+def test_generate_augmented_pairs_matches_reference(case, seed):
+    """The same pool and substitutions, and the generator left where the
+    reference leaves it: the same draws in the same order."""
+    natural, lexicon, vocab = case
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    pool, substitutions = generate_augmented_pairs(natural, lexicon, vocab, rng)
+    want_pool, want_substitutions = reference_generate_augmented_pairs(
+        natural, lexicon, vocab, reference_rng)
+    assert pool == want_pool
+    assert substitutions == want_substitutions
+    assert rng.random() == reference_rng.random()
 
 
 class TestPlanAndMix:

@@ -612,6 +612,28 @@ class TestExitCodes:
         assert "--out" in err and f"directory {d / 'nodir'} does not exist" in err
         assert not (d / "nodir").exists()
 
+    def test_negative_checkpoint_interval_is_usage_error(self, pipeline_dir, capsys):
+        d = pipeline_dir
+        prepare(d, model=False)
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--pairs", d / "pairs.txt", "--vocab", d / "vocab.tsv", "--dim", "8",
+                 "--epochs", "4", "--checkpoint-every", "-2", "--out", d / "model.txt"])
+        assert exc.value.code == 2
+        assert "checkpoint_every must be >= 0, got -2" in capsys.readouterr().err
+        assert not list(d.glob("model.txt*"))
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-inf"])
+    def test_non_finite_learning_rate_is_refused_before_training(self, pipeline_dir, lr,
+                                                                  monkeypatch, capsys):
+        d = pipeline_dir
+        prepare(d, model=False)
+        monkeypatch.setattr(cli.sgns, "train",
+                            lambda *a, **k: pytest.fail("trained with a non-finite rate"))
+        assert run(["train", "--pairs", d / "pairs.txt", "--vocab", d / "vocab.tsv",
+                    "--dim", "8", f"--lr={lr}", "--out", d / "model.txt"]) == 1
+        assert f"learning_rate must be finite and >= 0, got {float(lr)}" in (
+            capsys.readouterr().err)
+
     @pytest.mark.parametrize("argv", [
         ["augment", "--pairs", "p", "--vocab", "v", "--lexicon", "l", "--out", "o"],
         ["augment", "--pairs", "p", "--vocab", "v", "--lexicon", "l", "--ratio", "0"],

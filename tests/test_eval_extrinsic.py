@@ -483,10 +483,6 @@ class TestAccuracyCI:
         assert accuracy_ci(0, 50) == (0.0, 0.0)
         assert accuracy_ci(50, 50) == (1.0, 0.0)
 
-    def test_unsupported_level_rejected(self):
-        with pytest.raises(ValueError, match="level"):
-            accuracy_ci(5, 10, level=0.5)
-
     def test_zero_total_rejected(self):
         with pytest.raises(ValueError):
             accuracy_ci(0, 0)

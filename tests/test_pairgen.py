@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from synvec import pairgen
 from synvec.errors import ParseError
 from synvec.pairgen import (
     ORIGIN_AUGMENTED,
@@ -94,6 +98,68 @@ class TestGeneratePairs:
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             generate_pairs([[0, 1]], 0, seed=0)
+
+
+def reference_generate_pairs(encoded, C, seed):
+    """generate_pairs written sentence by sentence: every candidate offset in
+    both directions, sorted focus-major, one PairDataset per sentence."""
+    parts = []
+    for index, sentence in enumerate(encoded):
+        ids = np.asarray(sentence, dtype=np.int64)
+        n = len(ids)
+        if n < 2:
+            continue
+        foc_idx, ctx_idx = [], []
+        for c in range(1, min(C, n - 1) + 1):
+            right = np.arange(n - c)
+            foc_idx.extend((right + c, right))
+            ctx_idx.extend((right, right + c))
+        fi = np.concatenate(foc_idx)
+        ci = np.concatenate(ctx_idx)
+        order = np.lexsort((ci, fi))
+        fi, ci = fi[order], ci[order]
+        offsets = np.abs(fi - ci)
+        rng = pairgen.derived_rng(seed, "pairgen.sentence", index)
+        keep = rng.random(len(fi)) < (C - offsets + 1) / C
+        parts.append(PairDataset(ids[fi[keep]], ids[ci[keep]], offsets[keep],
+                                 np.full(int(keep.sum()), ORIGIN_NATURAL, dtype="<U1")))
+    return PairDataset.concat(parts)
+
+
+def with_sentence_draws(generate, encoded, C, seed):
+    """``generate``'s pairs, and each sentence generator it made with the
+    uniform it would draw next: equal lists mean equal draws."""
+    made = []
+    real = pairgen.derived_rng
+
+    def recording(*args):
+        made.append((args, real(*args)))
+        return made[-1][1]
+
+    pairgen.derived_rng = recording
+    try:
+        pairs = generate(encoded, C, seed)
+    finally:
+        pairgen.derived_rng = real
+    return pairs, [(args, rng.random()) for args, rng in made]
+
+
+SENTENCES = st.lists(st.lists(st.integers(0, 3), max_size=12), max_size=8)  # repeats are common
+
+
+@settings(max_examples=300, deadline=None)
+@given(encoded=SENTENCES, C=st.integers(1, 14), seed=st.integers(0, 2**32))
+@example(encoded=[], C=1, seed=7)
+@example(encoded=[[], [5], []], C=2, seed=7)
+@example(encoded=[[2, 2, 2, 2]], C=5, seed=7)
+@example(encoded=[[1, 2], [], [3], [4, 4, 5]], C=1, seed=7)
+def test_generate_pairs_matches_reference(encoded, C, seed):
+    """Any corpus, with C from 1 to beyond its longest sentence: the same
+    pairs in the same order, from the same draws of the same generators."""
+    got, got_draws = with_sentence_draws(generate_pairs, encoded, C, seed)
+    want, want_draws = with_sentence_draws(reference_generate_pairs, encoded, C, seed)
+    assert got == want
+    assert got_draws == want_draws
 
 
 class TestPairDataset:
@@ -223,3 +289,47 @@ def test_fast_parse_agrees_with_line_loop(tmp_path_factory, pairs, edits):
     path = tmp_path_factory.mktemp("pairs") / "pairs.txt"
     path.write_text("#pairs v1\n" + body, encoding="utf-8")
     assert _read_outcome(read_pairs, path) == _read_outcome(_read_by_lines, path)
+
+
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _names_pair_dataset(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "PairDataset"
+            or isinstance(node, ast.Attribute) and node.attr == "PairDataset")
+
+
+def _datasets_built_in_loops(path: Path) -> list[str]:
+    """`PairDataset(...)` and `PairDataset.concat(...)` calls inside a loop
+    (comprehensions included) of one module."""
+    hits = {f"{path.name}:{call.lineno}"
+            for loop in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(loop, LOOPS)
+            for call in ast.walk(loop)
+            if isinstance(call, ast.Call) and (
+                _names_pair_dataset(call.func)
+                or isinstance(call.func, ast.Attribute) and call.func.attr == "concat"
+                and _names_pair_dataset(call.func.value))}
+    return sorted(hits, key=lambda hit: int(hit.split(":")[1]))
+
+
+def test_prep_builds_each_dataset_as_whole_columns():
+    sources = sorted(Path(pairgen.__file__).resolve().parent.glob("*.py"))
+    assert len(sources) >= 10
+    found = [hit for path in sources for hit in _datasets_built_in_loops(path)]
+    assert found == [], ("build a PairDataset once from whole columns, not per item of a "
+                         "loop: " + "; ".join(found))
+
+
+def test_dataset_loop_guard_sees_rogue_builds(tmp_path):
+    rogue = tmp_path / "rogue.py"
+    rogue.write_text("for s in sentences:\n"
+                     "    parts.append(PairDataset(f, c, p, o))\n"
+                     "while parts:\n"
+                     "    whole = PairDataset.concat(parts)\n"
+                     "rows = [pairgen.PairDataset(*cols) for cols in columns]\n"
+                     "whole = PairDataset(f, c, p, o)\n"
+                     "whole = PairDataset.concat(parts)\n"
+                     "for s in sentences:\n"
+                     "    np.concatenate(parts)\n")
+    assert [hit.split(":")[1] for hit in _datasets_built_in_loops(rogue)] == ["2", "4", "5"]

@@ -18,8 +18,6 @@ from synvec.sgns import (
     EmbeddingModel,
     TrainConfig,
     TrainingError,
-    _batch_gradients,
-    _scatter_add,
     draw_negatives,
     init_pretrained,
     init_random,
@@ -311,16 +309,27 @@ ROW_IDS = st.one_of(
 FLOATS = st.floats(-1e16, 1e16, allow_nan=False, width=64)
 
 
+def add_rounds_batch_by_batch(matrix, batches, updates):
+    """Plan the rounds of every batch at once, then apply them batch by batch."""
+    rows = np.concatenate(batches).astype(np.int64)
+    starts = np.cumsum([0] + [len(b) for b in batches])
+    rounds = sgns._plan_rounds(rows, starts)
+    for i in range(len(batches)):
+        sgns._add_rounds(matrix, rounds, i, updates[starts[i]:starts[i + 1]])
+
+
 class TestScatterAdd:
-    @given(ROW_IDS.flatmap(lambda rows: st.tuples(
-        st.just(np.array(rows, dtype=np.int64)),
+    @given(st.lists(ROW_IDS, min_size=1, max_size=5).flatmap(lambda batches: st.tuples(
+        st.just(batches),
         arrays(np.float64, (8, 3), elements=FLOATS),
-        arrays(np.float64, (len(rows), 3), elements=FLOATS))))
+        arrays(np.float64, (sum(map(len, batches)), 3), elements=FLOATS))))
     def test_equals_add_at_bit_for_bit(self, case):
-        rows, matrix, updates = case
+        batches, matrix, updates = case
         expected = matrix.copy()
-        np.add.at(expected, rows, updates)
-        _scatter_add(matrix, rows, updates)
+        starts = np.cumsum([0] + [len(b) for b in batches])
+        for batch, lo, hi in zip(batches, starts, starts[1:]):
+            np.add.at(expected, batch, updates[lo:hi])
+        add_rounds_batch_by_batch(matrix, batches, updates)
         assert np.array_equal(bits(matrix), bits(expected))
 
     def test_additions_to_one_row_keep_their_order(self):
@@ -330,7 +339,7 @@ class TestScatterAdd:
         rows = np.array([0, 1, 0, 1, 0, 1])
         updates = np.array([[1e16], [1e16], [1.0], [-1e16], [-1e16], [1.0]])
         matrix, expected = np.zeros((2, 1)), np.zeros((2, 1))
-        _scatter_add(matrix, rows, updates)
+        add_rounds_batch_by_batch(matrix, [rows], updates)
         np.add.at(expected, rows, updates)
         assert np.array_equal(bits(matrix), bits(expected))
         assert matrix[:, 0].tolist() == [0.0, 1.0]
@@ -356,12 +365,7 @@ def test_epoch_matches_add_at_reference(monkeypatch):
         end = start + config.batch_size
         foc, ctx = focus[start:end], context[start:end]
         negs = draw_negatives(ctx, config.negatives, noise, neg_rng)
-        losses, g_in, g_ctx, g_neg = _batch_gradients(reference, foc, ctx, negs)
-        lr = config.learning_rate
-        np.add.at(reference.input, foc, -lr * g_in)
-        np.add.at(reference.output, ctx, -lr * g_ctx)
-        np.add.at(reference.output, negs.reshape(-1), -lr * g_neg.reshape(-1, config.dim))
-        expected_losses.append(float(losses.mean()))
+        expected_losses.append(reference_step(reference, foc, ctx, negs, config.learning_rate))
     assert max(np.bincount(focus[:10])) > 1  # rows do repeat within a batch
 
     step_losses = []
@@ -463,7 +467,7 @@ def test_training_has_one_scatter_path():
     sources = sorted(Path(sgns.__file__).resolve().parent.glob("*.py"))
     assert len(sources) >= 10
     found = [hit for path in sources for hit in _add_at_calls(path)]
-    assert found == [], "apply row updates with sgns._scatter_add: " + "; ".join(found)
+    assert found == [], "apply row updates with sgns._add_rounds: " + "; ".join(found)
 
 
 def test_scatter_guard_sees_add_at(tmp_path):
