@@ -18,13 +18,11 @@ from . import fileio
 from .corpus import Vocabulary
 from .errors import ParseError
 from .lexicon import SynonymLexicon, is_candidate, sample_synonym
-from .pairgen import ORIGIN_AUGMENTED, PairDataset
+from .pairgen import PairDataset
 from .seeds import derived_rng
 
 # Sweep values exposed by the CLI preset `--ratio standard`.
 RATIO_SWEEP = (0.0, 0.02, 0.035, 0.06, 0.10, 0.16, 0.25, 0.37, 0.50, 0.64)
-
-Substitution = tuple[int, int]  # (original focus id, sampled synonym id)
 
 
 @dataclass(frozen=True)
@@ -44,14 +42,14 @@ def generate_augmented_pairs(
     lexicon: SynonymLexicon,
     vocab: Vocabulary,
     rng: np.random.Generator,
-) -> tuple[PairDataset, list[Substitution]]:
+) -> tuple[PairDataset, np.ndarray]:
     """Build the augmented pair pool from surviving natural pairs.
 
     One synonym is drawn per candidate focus occurrence and substituted as
     the focus of all that occurrence's pairs; contexts and positions are
-    inherited unchanged. Also returns the (focus, synonym) substitution
-    records, one per occurrence in the pool whether or not a mix draws it:
-    the fixed synonym evaluation set shared by every ratio, 0 included.
+    inherited unchanged. Also returns the (n, 2) int64 array of [focus,
+    synonym] substitutions, one per occurrence in the pool whether or not a
+    mix draws it: the fixed synonym evaluation set of every ratio, 0 included.
 
     Occurrences are recovered as consecutive runs of the same focus id
     (pair records carry no token index, so directly repeated words merge).
@@ -61,6 +59,7 @@ def generate_augmented_pairs(
     """
     if natural.n_augmented:
         raise ValueError("input to generate_augmented_pairs must be natural pairs only")
+    vocab.check_ids(natural.focus, natural.context)
     focus = natural.focus
     starts = np.flatnonzero(np.diff(focus, prepend=focus[:1] - 1))
     synonyms = np.full(len(starts), -1)
@@ -74,8 +73,8 @@ def generate_augmented_pairs(
     drawn = synonyms >= 0
     pooled = np.repeat(drawn, runs)
     augmented = PairDataset(np.repeat(synonyms[drawn], runs[drawn]), natural.context[pooled],
-                            natural.position[pooled], np.full(int(pooled.sum()), ORIGIN_AUGMENTED))
-    return augmented, list(zip(focus[starts[drawn]].tolist(), synonyms[drawn].tolist()))
+                            natural.position[pooled], np.ones(int(pooled.sum()), dtype=bool))
+    return augmented, np.stack([focus[starts[drawn]], synonyms[drawn]], axis=1)
 
 
 def augmented_count(n_natural: int, ratio: float) -> int:
@@ -109,10 +108,7 @@ def mix(natural: PairDataset, augmented: PairDataset, plan: AugmentationPlan) ->
             f"{max_ratio(len(natural), len(augmented)):.4f}"
         )
     rng = derived_rng(plan.seed, "augment.mix")
-    if m:
-        chosen = np.sort(rng.choice(len(augmented), size=m, replace=False))
-    else:
-        chosen = np.empty(0, dtype=np.int64)
+    chosen = np.sort(rng.choice(len(augmented), size=m, replace=False))
     combined = PairDataset.concat([natural, augmented.subset(chosen)])
     return combined.subset(rng.permutation(len(combined)))
 
@@ -121,22 +117,23 @@ def mix(natural: PairDataset, augmented: PairDataset, plan: AugmentationPlan) ->
 
 
 def write_substitutions(
-    path: str | Path, substitutions: list[Substitution], meta: dict | None = None
+    path: str | Path, substitutions: np.ndarray, meta: dict | None = None
 ) -> None:
-    """Write `<focus_id>\\t<synonym_id>` lines under a `#subs v1` header."""
+    """Write `<focus_id>\\t<synonym_id>` lines, one per row, under a `#subs v1` header."""
     with fileio.output(path, "w", encoding="utf-8") as f:
         f.write(fileio.header("subs", meta))
-        for focus_id, synonym_id in substitutions:
+        for focus_id, synonym_id in substitutions.tolist():
             f.write(f"{focus_id}\t{synonym_id}\n")
 
 
-def read_substitutions(path: str | Path) -> list[Substitution]:
-    substitutions = []
+def read_substitutions(path: str | Path) -> np.ndarray:
+    """The file's substitutions as an int64 array of [focus, synonym] rows."""
+    rows = []
     with open(path, encoding="utf-8") as f:
         fileio.read_header(f, path, "subs")
         for lineno, fields in fileio.records(f, path, "<focus>\t<synonym>", "\t"):
             try:
-                substitutions.append((int(fields[0]), int(fields[1])))
+                rows.append((int(fields[0]), int(fields[1])))
             except ValueError:
                 raise ParseError(path, lineno, f"non-integer id in {fields}")
-    return substitutions
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)

@@ -223,7 +223,7 @@ def cmd_augment(p):
     lex = lexicon_mod.load_lexicon(p.lexicon)
     natural, meta = pairgen.read_pairs(p.pairs)
     if natural.n_augmented:
-        natural = natural.by_origin(pairgen.ORIGIN_NATURAL)
+        natural = natural.subset(~natural.augmented)
     pool, substitutions = augment.generate_augmented_pairs(
         natural, lex, vocab, derived_rng(p.seed, "augment.synonyms")
     )
@@ -326,7 +326,7 @@ def cmd_eval_pairsets(p):
                          f"{len(model_vocab)} words, {p.vocab} has {len(vocab)}, "
                          f"first difference at row {row}")
     dataset, _meta = pairgen.read_pairs(p.pairs)
-    natural = dataset.by_origin(pairgen.ORIGIN_NATURAL)
+    natural = dataset.subset(~dataset.augmented)
     substitutions = augment.read_substitutions(p.subs)
     sets = eval_intrinsic.build_pairsets(
         substitutions, natural, vocab, p.size, derived_rng(p.seed, "pairsets")

@@ -88,6 +88,15 @@ class Vocabulary:
     def count(self, word: str) -> int:
         return int(self.counts[self.word2id[word]])
 
+    def check_ids(self, *columns) -> None:
+        """Raise ValueError naming the first id of ``columns`` outside 0..len-1:
+        numpy would wrap a negative id to another word's row."""
+        for ids in map(np.asarray, columns):
+            outside = ids[(ids < 0) | (ids >= len(self))]
+            if len(outside):
+                raise ValueError(f"word id {outside[0]} is outside the vocabulary of "
+                                 f"{len(self)} words")
+
 
 def build_vocabulary(corpus: TokenizedCorpus, min_count: int = 1) -> Vocabulary:
     """Count corpus tokens and retain words with frequency >= min_count."""

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .augment import Substitution
 from .corpus import Vocabulary
 from .errors import ParseError
 from .pairgen import PairDataset
@@ -145,7 +143,7 @@ def pairset_stats(model: EmbeddingModel, pairset: PairSet) -> tuple[float, float
 
 
 def build_pairsets(
-    substitutions: Sequence[Substitution],
+    substitutions: np.ndarray,
     natural: PairDataset,
     vocab: Vocabulary,
     sizes: int | tuple[int, int, int],
@@ -153,12 +151,12 @@ def build_pairsets(
 ) -> tuple[PairSet, PairSet, PairSet]:
     """Assemble the synonym / contextual / random pair sets.
 
-    Synonym pairs are the distinct (original focus, sampled synonym)
-    substitutions of the whole augmented pool, drawn by a mix or not, so
-    every ratio (0 included) is scored on the same set; contextual pairs are
-    distinct co-occurring (focus, context) pairs from the natural data;
-    random pairs are sampled uniformly from the vocabulary. Each set is
-    subsampled to its requested size (one int for all three, or a
+    Synonym pairs are the distinct rows of ``substitutions``, the (n, 2)
+    [focus, synonym] array of the whole augmented pool, drawn by a mix or
+    not, so every ratio (0 included) is scored on the same set; contextual
+    pairs are distinct co-occurring (focus, context) pairs from the natural
+    data; random pairs are sampled uniformly from the vocabulary. Each set
+    is subsampled to its requested size (one int for all three, or a
     (synonym, contextual, random) triple) of distinct unordered pairs.
     """
     if isinstance(sizes, int):
@@ -166,10 +164,9 @@ def build_pairsets(
     n_syn, n_ctx, n_rand = sizes
     if min(sizes) < 1:
         raise ValueError("pair set sizes must be >= 1")
+    vocab.check_ids(substitutions, natural.focus, natural.context)
 
-    synonym_pool = _distinct_unordered(
-        np.array([(f, s) for f, s in substitutions], dtype=np.int64).reshape(-1, 2)
-    )
+    synonym_pool = _distinct_unordered(substitutions)
     contextual_pool = _distinct_unordered(
         np.stack([natural.focus, natural.context], axis=1)
     )

@@ -18,6 +18,8 @@ from .corpus import EncodedCorpus
 from .errors import ParseError
 from .seeds import derived_rng
 
+# The letters of a pair file's origin field. Only the file code below reads
+# or writes them; in memory a pair's origin is its bool `augmented` flag.
 ORIGIN_NATURAL = "N"
 ORIGIN_AUGMENTED = "A"
 
@@ -26,26 +28,26 @@ class PairDataset:
     """Columnar collection of word pairs.
 
     Stores focus ids, context ids, positions (absolute context offsets) and
-    origin flags as parallel numpy arrays; pair i is row i of every column.
+    a bool ``augmented`` flag (False for a natural pair) as parallel numpy
+    arrays; pair i is row i of every column.
     """
 
-    __slots__ = ("focus", "context", "position", "origin")
+    __slots__ = ("focus", "context", "position", "augmented")
 
-    def __init__(self, focus, context, position, origin):
+    def __init__(self, focus, context, position, augmented):
         self.focus = np.asarray(focus, dtype=np.int64)
         self.context = np.asarray(context, dtype=np.int64)
         self.position = np.asarray(position, dtype=np.int64)
-        self.origin = np.asarray(origin, dtype="<U1")
+        self.augmented = np.asarray(augmented)
+        if self.augmented.dtype != bool:  # letters would cast to True, not be refused
+            raise TypeError(f"augmented flags must have dtype bool, got {self.augmented.dtype}")
         n = len(self.focus)
-        if not (len(self.context) == len(self.position) == len(self.origin) == n):
+        if not (len(self.context) == len(self.position) == len(self.augmented) == n):
             raise ValueError("pair columns have mismatched lengths")
-        bad = ~np.isin(self.origin, (ORIGIN_NATURAL, ORIGIN_AUGMENTED))
-        if bad.any():
-            raise ValueError(f"unknown origin flag {self.origin[bad][0]!r}")
 
     @classmethod
     def empty(cls) -> "PairDataset":
-        return cls([], [], [], [])
+        return cls([], [], [], np.zeros(0, dtype=bool))
 
     @classmethod
     def concat(cls, parts: Iterable["PairDataset"]) -> "PairDataset":
@@ -56,7 +58,7 @@ class PairDataset:
             np.concatenate([p.focus for p in parts]),
             np.concatenate([p.context for p in parts]),
             np.concatenate([p.position for p in parts]),
-            np.concatenate([p.origin for p in parts]),
+            np.concatenate([p.augmented for p in parts]),
         )
 
     def __len__(self) -> int:
@@ -69,25 +71,22 @@ class PairDataset:
             np.array_equal(self.focus, other.focus)
             and np.array_equal(self.context, other.context)
             and np.array_equal(self.position, other.position)
-            and np.array_equal(self.origin, other.origin)
+            and np.array_equal(self.augmented, other.augmented)
         )
 
     def subset(self, indices) -> "PairDataset":
         return PairDataset(
             self.focus[indices], self.context[indices],
-            self.position[indices], self.origin[indices],
+            self.position[indices], self.augmented[indices],
         )
-
-    def by_origin(self, origin: str) -> "PairDataset":
-        return self.subset(self.origin == origin)
 
     @property
     def n_natural(self) -> int:
-        return int((self.origin == ORIGIN_NATURAL).sum())
+        return len(self) - self.n_augmented
 
     @property
     def n_augmented(self) -> int:
-        return int((self.origin == ORIGIN_AUGMENTED).sum())
+        return int(self.augmented.sum())
 
 
 def keep_probability(c: int, C: int) -> float:
@@ -135,7 +134,7 @@ def generate_pairs(encoded: EncodedCorpus, C: int, seed: int) -> PairDataset:
             derived_rng(seed, "pairgen.sentence", index).random(out=draws[lo:hi])
     keep = draws < (C - offsets + 1) / C
     return PairDataset(ids[fi[keep]], ids[ci[keep]], offsets[keep],
-                       np.full(int(keep.sum()), ORIGIN_NATURAL))
+                       np.zeros(int(keep.sum()), dtype=bool))
 
 
 # --- file format -------------------------------------------------------------
@@ -143,8 +142,8 @@ def generate_pairs(encoded: EncodedCorpus, C: int, seed: int) -> PairDataset:
 
 def write_pairs(path: str | Path, dataset: PairDataset, meta: dict | None = None) -> None:
     """Write `<focus> <context> <position> <origin>` lines under a `#pairs v1` header."""
-    columns = (dataset.focus.tolist(), dataset.context.tolist(),
-               dataset.position.tolist(), dataset.origin.tolist())
+    columns = (dataset.focus.tolist(), dataset.context.tolist(), dataset.position.tolist(),
+               np.where(dataset.augmented, ORIGIN_AUGMENTED, ORIGIN_NATURAL).tolist())
     with fileio.output(path, "w", encoding="utf-8") as f:
         f.write(fileio.header("pairs", meta))
         f.writelines(f"{a} {b} {c} {o}\n" for a, b, c, o in zip(*columns))
@@ -194,15 +193,14 @@ def _pair_columns(f) -> tuple | None:
     n_lines = len(marks)
     del marks, left  # free before the parse allocates the ids
     ids = np.fromstring(text, dtype=np.int64, count=3 * n_lines, sep=" ").reshape(-1, 3)
-    return (*np.ascontiguousarray(ids.T),
-            np.where(augmented, ORIGIN_AUGMENTED, ORIGIN_NATURAL))
+    return (*np.ascontiguousarray(ids.T), augmented)
 
 
 def _read_pair_lines(path: str | Path) -> tuple:
     """The columns of a pair file, line by line; a ParseError names the bad line."""
     with open(path, encoding="utf-8") as f:
         f.readline()
-        focus, context, position, origin = [], [], [], []
+        focus, context, position, augmented = [], [], [], []
         for lineno, fields in fileio.records(f, path, "<focus> <context> <position> <origin>"):
             try:
                 focus.append(int(fields[0]))
@@ -212,5 +210,5 @@ def _read_pair_lines(path: str | Path) -> tuple:
                 raise ParseError(path, lineno, f"non-integer id field in {fields}")
             if fields[3] not in (ORIGIN_NATURAL, ORIGIN_AUGMENTED):
                 raise ParseError(path, lineno, f"unknown origin flag {fields[3]!r}")
-            origin.append(fields[3])
-    return focus, context, position, origin
+            augmented.append(fields[3] == ORIGIN_AUGMENTED)
+    return focus, context, position, np.array(augmented, dtype=bool)

@@ -369,6 +369,7 @@ def train(
         raise ValueError("training dataset is empty")
     if len(vocab) < 2:
         raise ValueError("training needs a vocabulary of at least 2 words")
+    vocab.check_ids(dataset.focus, dataset.context)
     if initial is None:
         initial = init_random(len(vocab), config.dim, derive_seed(config.seed, "sgns.init"))
     model = initial

@@ -82,9 +82,9 @@ def test_c02_augmentation_composition_exact():
     start = time.perf_counter()
     n, pool_n = 7500, 4000
     natural = PairDataset(np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64),
-                          np.ones(n, dtype=np.int64), np.full(n, "N"))
+                          np.ones(n, dtype=np.int64), np.zeros(n, dtype=bool))
     pool = PairDataset(np.full(pool_n, 2), np.ones(pool_n, dtype=np.int64),
-                       np.ones(pool_n, dtype=np.int64), np.full(pool_n, "A"))
+                       np.ones(pool_n, dtype=np.int64), np.ones(pool_n, dtype=bool))
     mixed = mix(natural, pool, AugmentationPlan(ratio=0.25, seed=5))
     assert len(mixed) == 10_000
     assert mixed.n_augmented == 2500

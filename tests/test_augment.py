@@ -13,7 +13,7 @@ from synvec.augment import (
     write_substitutions,
 )
 from synvec.lexicon import SynonymLexicon, is_candidate, sample_synonym
-from synvec.pairgen import ORIGIN_AUGMENTED, ORIGIN_NATURAL, PairDataset, generate_pairs
+from synvec.pairgen import PairDataset, generate_pairs
 
 from test_lexicon import make_lexicon, make_vocab
 
@@ -29,7 +29,7 @@ def gem_setup(tmp_path):
 def natural_pairs(vocab, focus, contexts):
     n = len(contexts)
     return PairDataset([vocab.id(focus)] * n, [vocab.id(ctx) for ctx in contexts],
-                       range(1, n + 1), [ORIGIN_NATURAL] * n)
+                       range(1, n + 1), np.zeros(n, dtype=bool))
 
 
 class TestGenerateAugmentedPairs:
@@ -44,21 +44,21 @@ class TestGenerateAugmentedPairs:
             (jewel, vocab.id("priceless"), 2),
             (jewel, vocab.id("of"), 3),
         ]
-        assert (augmented.origin == ORIGIN_AUGMENTED).all()
-        assert subs == [(vocab.id("gem"), jewel)]
+        assert augmented.augmented.all()
+        assert subs.dtype == np.int64 and subs.tolist() == [[vocab.id("gem"), jewel]]
 
     def test_non_candidate_contributes_nothing(self, gem_setup):
         vocab, lex = gem_setup
         natural = natural_pairs(vocab, "of", ["a", "priceless"])
         augmented, subs = generate_augmented_pairs(natural, lex, vocab, np.random.default_rng(0))
-        assert len(augmented) == 0 and subs == []
+        assert len(augmented) == 0 and subs.shape == (0, 2)
 
     def test_empty_input(self, gem_setup):
         vocab, lex = gem_setup
         augmented, subs = generate_augmented_pairs(
             PairDataset.empty(), lex, vocab, np.random.default_rng(0)
         )
-        assert len(augmented) == 0 and subs == []
+        assert len(augmented) == 0 and subs.shape == (0, 2)
 
     def test_one_synonym_per_occurrence(self, tmp_path):
         # A candidate with two equally frequent synonyms: every pair within
@@ -71,7 +71,7 @@ class TestGenerateAugmentedPairs:
             natural = natural_pairs(vocab, "big", ["x", "y", "z"])
             augmented, subs = generate_augmented_pairs(natural, lex, vocab, rng)
             assert len(set(augmented.focus)) == 1
-            sampled.add(subs[0][1])
+            sampled.add(int(subs[0, 1]))
         assert sampled == {vocab.id("large"), vocab.id("great")}
 
     def test_separate_occurrences_sample_independently(self, tmp_path):
@@ -81,21 +81,32 @@ class TestGenerateAugmentedPairs:
             [vocab.id("big"), vocab.id("x"), vocab.id("big")],
             [vocab.id("x"), vocab.id("big"), vocab.id("y")],
             [1, 1, 1],
-            [ORIGIN_NATURAL] * 3,
+            [False] * 3,
         )
         seen_pairs = set()
         rng = np.random.default_rng(5)
         for _ in range(60):
             _, subs = generate_augmented_pairs(natural, lex, vocab, rng)
             assert len(subs) == 2
-            seen_pairs.add(tuple(s for _, s in subs))
+            seen_pairs.add(tuple(subs[:, 1].tolist()))
         assert len(seen_pairs) == 4  # both occurrences explore both synonyms
 
     def test_rejects_augmented_input(self, gem_setup):
         vocab, lex = gem_setup
-        ds = PairDataset([0], [1], [1], [ORIGIN_AUGMENTED])
+        ds = PairDataset([0], [1], [1], [True])
         with pytest.raises(ValueError, match="natural"):
             generate_augmented_pairs(ds, lex, vocab, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("column", ["focus", "context"])
+    @pytest.mark.parametrize("bad", [-4, 5])
+    def test_ids_outside_the_vocabulary_rejected(self, gem_setup, column, bad):
+        """A negative id would wrap to another word, one past the end raise IndexError."""
+        vocab, lex = gem_setup
+        ids = {"focus": [vocab.id("gem")] * 2, "context": [vocab.id("a")] * 2}
+        ids[column][1] = bad
+        natural = PairDataset(ids["focus"], ids["context"], [1, 2], [False, False])
+        with pytest.raises(ValueError, match=f"word id {bad} is outside the vocabulary of 5"):
+            generate_augmented_pairs(natural, lex, vocab, np.random.default_rng(0))
 
     def test_context_and_position_inherited(self, gem_setup):
         vocab, lex = gem_setup
@@ -111,7 +122,7 @@ class TestGenerateAugmentedPairs:
         contexts = {(int(f), int(c), int(p)) for f, c, p in
                     zip(natural.focus, natural.context, natural.position)}
         rows = zip(augmented.focus.tolist(), augmented.context.tolist(),
-                   augmented.position.tolist(), [subs[0], subs[0]])
+                   augmented.position.tolist(), [subs[0].tolist()] * 2)
         for focus, context, position, (orig, syn) in rows:
             assert focus == syn
             assert (orig, context, position) in contexts
@@ -119,7 +130,8 @@ class TestGenerateAugmentedPairs:
 
 def reference_generate_augmented_pairs(natural, lexicon, vocab, rng):
     """generate_augmented_pairs written run by run: each run of one focus id
-    appends its slices of the pool to three lists."""
+    appends its slices of the pool to three lists, and its substitution to a
+    list of (focus, synonym) tuples."""
     if natural.n_augmented:
         raise ValueError("input to generate_augmented_pairs must be natural pairs only")
     n = len(natural)
@@ -140,11 +152,12 @@ def reference_generate_augmented_pairs(natural, lexicon, vocab, rng):
         context.append(natural.context[start:end])
         position.append(natural.position[start:end])
         substitutions.append((focus_id, synonym))
+    substitutions = np.array(substitutions, dtype=np.int64).reshape(-1, 2)
     if not focus:
-        return PairDataset.empty(), []
+        return PairDataset.empty(), substitutions
     focus = np.concatenate(focus)
     augmented = PairDataset(focus, np.concatenate(context), np.concatenate(position),
-                            np.full(len(focus), ORIGIN_AUGMENTED, dtype="<U1"))
+                            np.ones(len(focus), dtype=bool))
     return augmented, substitutions
 
 
@@ -191,7 +204,8 @@ def test_generate_augmented_pairs_matches_reference(case, seed):
     want_pool, want_substitutions = reference_generate_augmented_pairs(
         natural, lexicon, vocab, reference_rng)
     assert pool == want_pool
-    assert substitutions == want_substitutions
+    assert substitutions.dtype == np.int64
+    assert np.array_equal(substitutions, want_substitutions)  # shapes too, (0, 2) included
     assert rng.random() == reference_rng.random()
 
 
@@ -205,29 +219,29 @@ class TestPlanAndMix:
             AugmentationPlan(ratio=-0.1, seed=1)
 
     def test_quarter_ratio_exact_composition(self):
-        natural = PairDataset([0] * 7500, [1] * 7500, [1] * 7500, ["N"] * 7500)
-        augmented = PairDataset([2] * 4000, [1] * 4000, [1] * 4000, ["A"] * 4000)
+        natural = PairDataset([0] * 7500, [1] * 7500, [1] * 7500, [False] * 7500)
+        augmented = PairDataset([2] * 4000, [1] * 4000, [1] * 4000, [True] * 4000)
         mixed = mix(natural, augmented, AugmentationPlan(ratio=0.25, seed=9))
         assert len(mixed) == 10_000
         assert mixed.n_augmented == 2500
         assert mixed.n_natural == 7500
 
     def test_zero_ratio_is_shuffled_natural(self):
-        natural = PairDataset(range(100), range(1, 101), [1] * 100, ["N"] * 100)
+        natural = PairDataset(range(100), range(1, 101), [1] * 100, [False] * 100)
         mixed = mix(natural, PairDataset.empty(), AugmentationPlan(ratio=0.0, seed=2))
         assert mixed.n_augmented == 0
         assert sorted(mixed.focus) == sorted(natural.focus)
         assert not np.array_equal(mixed.focus, natural.focus)  # shuffled
 
     def test_insufficient_pool_reports_max_ratio(self):
-        natural = PairDataset([0] * 100, [1] * 100, [1] * 100, ["N"] * 100)
-        augmented = PairDataset([2] * 10, [1] * 10, [1] * 10, ["A"] * 10)
+        natural = PairDataset([0] * 100, [1] * 100, [1] * 100, [False] * 100)
+        augmented = PairDataset([2] * 10, [1] * 10, [1] * 10, [True] * 10)
         with pytest.raises(ValueError, match="0.0909"):
             mix(natural, augmented, AugmentationPlan(ratio=0.25, seed=0))
 
     def test_deterministic_given_seed(self):
-        natural = PairDataset(range(50), range(1, 51), [1] * 50, ["N"] * 50)
-        augmented = PairDataset(range(50, 90), range(51, 91), [2] * 40, ["A"] * 40)
+        natural = PairDataset(range(50), range(1, 51), [1] * 50, [False] * 50)
+        augmented = PairDataset(range(50, 90), range(51, 91), [2] * 40, [True] * 40)
         a = mix(natural, augmented, AugmentationPlan(ratio=0.25, seed=4))
         b = mix(natural, augmented, AugmentationPlan(ratio=0.25, seed=4))
         c = mix(natural, augmented, AugmentationPlan(ratio=0.25, seed=5))
@@ -235,15 +249,15 @@ class TestPlanAndMix:
         assert a != c
 
     def test_all_natural_retained(self):
-        natural = PairDataset(range(60), range(1, 61), [1] * 60, ["N"] * 60)
-        augmented = PairDataset(range(100, 180), range(101, 181), [2] * 80, ["A"] * 80)
+        natural = PairDataset(range(60), range(1, 61), [1] * 60, [False] * 60)
+        augmented = PairDataset(range(100, 180), range(101, 181), [2] * 80, [True] * 80)
         mixed = mix(natural, augmented, AugmentationPlan(ratio=0.5, seed=7))
-        kept_natural = mixed.by_origin(ORIGIN_NATURAL)
+        kept_natural = mixed.subset(~mixed.augmented)
         assert sorted(kept_natural.focus) == sorted(natural.focus)
 
     def test_fraction_within_rounding_of_ratio(self):
-        natural = PairDataset(range(977), range(1, 978), [1] * 977, ["N"] * 977)
-        augmented = PairDataset(range(1000, 3000), range(1001, 3001), [2] * 2000, ["A"] * 2000)
+        natural = PairDataset(range(977), range(1, 978), [1] * 977, [False] * 977)
+        augmented = PairDataset(range(1000, 3000), range(1001, 3001), [2] * 2000, [True] * 2000)
         for ratio in RATIO_SWEEP:
             mixed = mix(natural, augmented, AugmentationPlan(ratio=ratio, seed=1))
             fraction = mixed.n_augmented / len(mixed)
@@ -260,8 +274,24 @@ class TestPlanAndMix:
 
 
 def test_substitutions_file_roundtrip(tmp_path):
-    subs = [(3, 9), (1, 4), (3, 9)]
+    subs = np.array([(3, 9), (1, 4), (3, 9)])
     path = tmp_path / "subs.tsv"
     write_substitutions(path, subs, meta={"seed": 42})
-    assert read_substitutions(path) == subs
+    assert np.array_equal(read_substitutions(path), subs)
     assert path.read_text().splitlines()[0] == "#subs v1 seed=42"
+    assert path.read_text().splitlines()[1:] == ["3\t9", "1\t4", "3\t9"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(-2**63, 2**63 - 1), st.integers(-2**63, 2**63 - 1)),
+                     max_size=20))
+@example(rows=[])
+def test_substitutions_array_roundtrip(tmp_path_factory, rows):
+    """Any int64 [focus, synonym] array, the empty one included, reads back
+    as an equal (n, 2) int64 array."""
+    subs = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    path = tmp_path_factory.mktemp("subs") / "subs.tsv"
+    write_substitutions(path, subs)
+    got = read_substitutions(path)
+    assert got.dtype == np.int64 and got.shape == (len(rows), 2)
+    assert np.array_equal(got, subs)

@@ -8,6 +8,7 @@ import pytest
 
 from synvec import cli
 from synvec.cli import main, read_config
+from synvec.corpus import read_vocab
 from synvec.embed_io import read_text, write_text
 from synvec.pairgen import read_pairs
 
@@ -499,6 +500,29 @@ class TestPipeline:
         assert f"nan.txt:4: non-finite vector component for word {words[2]!r}" in (
             capsys.readouterr().err)
         assert not (d / "pairsets.csv").exists()
+
+    @pytest.mark.parametrize("command", ["train", "augment", "eval-pairsets"])
+    @pytest.mark.parametrize("past_end", [False, True])
+    def test_ids_outside_the_vocabulary_exit_one(self, pipeline_dir, command, past_end, capsys):
+        """A negative id would wrap to another word's row, and one past the end
+        raise IndexError: each stage names the id, exits 1 and writes nothing."""
+        d = pipeline_dir
+        prepare(d)
+        n_words = len(read_vocab(d / "vocab.tsv"))
+        bad = n_words if past_end else {"train": -3, "augment": -4, "eval-pairsets": -1}[command]
+        (d / "bad.pairs").write_text(f"#pairs v1\n0 1 1 N\n0 {bad} 1 N\n" if command == "train"
+                                     else f"#pairs v1\n{bad} 1 1 N\n0 1 1 N\n")
+        (d / "bad.subs").write_text(f"#subs v1\n0\t{bad}\n")
+        argv = {
+            "train": ["--pairs", d / "bad.pairs", "--dim", "8"],
+            "augment": ["--pairs", d / "bad.pairs", "--lexicon", d / "syn.tsv", "--ratio", "0"],
+            "eval-pairsets": ["--model", d / "model.txt", "--pairs", d / "pairs.txt",
+                              "--subs", d / "bad.subs", "--size", "1,3,3"],
+        }[command]
+        assert run([command, *argv, "--vocab", d / "vocab.tsv", "--out", d / "out.txt"]) == 1
+        assert (f"synvec {command}: error: word id {bad} is outside the vocabulary of "
+                f"{n_words} words") in capsys.readouterr().err
+        assert not list(d.glob("out.txt*"))
 
 
 class TestExitCodes:

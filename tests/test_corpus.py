@@ -145,6 +145,25 @@ class TestEncode:
         assert decoded == corpus
 
 
+class TestCheckIds:
+    def test_ids_in_range_pass(self):
+        vocab = build_vocabulary([["a", "b", "c"]], min_count=1)
+        vocab.check_ids([0, 1, 2], np.array([[2, 0]]), np.empty(0, dtype=np.int64))
+        vocab.check_ids()
+
+    @pytest.mark.parametrize("columns, bad", [
+        (([0, -3, 1],), -3),
+        (([0, 3, 1],), 3),
+        (([0, 1], [2, -1, 7]), -1),           # the first bad id of the first bad column
+        ((np.array([[0, 1], [5, -2]]),), 5),  # row by row in an (n, 2) array
+    ])
+    def test_first_id_outside_is_named_with_the_size(self, columns, bad):
+        vocab = build_vocabulary([["a", "b", "c"]], min_count=1)
+        with pytest.raises(ValueError, match=rf"^word id {bad} is outside the vocabulary "
+                                             r"of 3 words$"):
+            vocab.check_ids(*columns)
+
+
 class TestVocabFile:
     def test_roundtrip(self, tmp_path):
         vocab = build_vocabulary([["b", "a", "a", "c", "c", "c"]], min_count=2)

@@ -272,10 +272,10 @@ class TestBuildPairsets:
             [vocab.id("gem"), vocab.id("gem"), vocab.id("a"), vocab.id("x")],
             [vocab.id("a"), vocab.id("of"), vocab.id("gem"), vocab.id("y")],
             [1, 2, 1, 1],
-            ["N"] * 4,
+            [False] * 4,
         )
-        substitutions = [(vocab.id("gem"), vocab.id("jewel")),
-                         (vocab.id("gem"), vocab.id("jewel"))]
+        substitutions = np.array([(vocab.id("gem"), vocab.id("jewel")),
+                                  (vocab.id("gem"), vocab.id("jewel"))])
         return vocab, natural, substitutions
 
     def test_synonym_set_contains_substitution(self):
@@ -304,6 +304,16 @@ class TestBuildPairsets:
             build_pairsets(subs, natural, vocab, 2, np.random.default_rng(0))
         with pytest.raises(ValueError, match="random"):
             build_pairsets(subs, natural, vocab, (1, 1, 10_000), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("where", ["substitutions", "focus", "context"])
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_ids_outside_the_vocabulary_rejected(self, where, bad):
+        """A negative id would score another word's row, one past the end raise IndexError."""
+        vocab, natural, subs = self.setup_inputs()
+        column = subs[:, 1] if where == "substitutions" else getattr(natural, where)
+        column[1] = bad
+        with pytest.raises(ValueError, match=f"word id {bad} is outside the vocabulary of 6"):
+            build_pairsets(subs, natural, vocab, 1, np.random.default_rng(0))
 
     def test_kinds_labelled(self):
         vocab, natural, subs = self.setup_inputs()

@@ -122,7 +122,7 @@ def reference_generate_pairs(encoded, C, seed):
         rng = pairgen.derived_rng(seed, "pairgen.sentence", index)
         keep = rng.random(len(fi)) < (C - offsets + 1) / C
         parts.append(PairDataset(ids[fi[keep]], ids[ci[keep]], offsets[keep],
-                                 np.full(int(keep.sum()), ORIGIN_NATURAL, dtype="<U1")))
+                                 np.zeros(int(keep.sum()), dtype=bool)))
     return PairDataset.concat(parts)
 
 
@@ -165,20 +165,23 @@ def test_generate_pairs_matches_reference(encoded, C, seed):
 class TestPairDataset:
     def test_mismatched_columns_rejected(self):
         with pytest.raises(ValueError):
-            PairDataset([0, 1], [1], [1, 1], ["N", "N"])
+            PairDataset([0, 1], [1], [1, 1], [False, False])
 
     def test_unknown_origin_rejected(self):
-        with pytest.raises(ValueError):
-            PairDataset([0], [1], [1], ["X"])
+        """A letter column, or ints or floats, would cast to bool; it is refused."""
+        for flags in (["X"], [ORIGIN_NATURAL], [ORIGIN_AUGMENTED], [1], [0.0], []):
+            with pytest.raises(TypeError, match="dtype bool"):
+                PairDataset([0] * len(flags), [1] * len(flags), [1] * len(flags), flags)
 
     def test_by_origin_partition(self):
-        ds = PairDataset([0, 1, 2], [1, 2, 0], [1, 1, 2], ["N", "A", "N"])
-        assert ds.by_origin(ORIGIN_NATURAL).n_natural == 2
-        assert ds.by_origin(ORIGIN_AUGMENTED).n_augmented == 1
+        ds = PairDataset([0, 1, 2], [1, 2, 0], [1, 1, 2], [False, True, False])
+        assert ds.n_natural == 2 and ds.n_augmented == 1
+        assert ds.subset(~ds.augmented) == PairDataset([0, 2], [1, 0], [1, 2], [False, False])
+        assert ds.subset(ds.augmented) == PairDataset([1], [2], [1], [True])
 
     def test_concat_and_subset(self):
-        a = PairDataset([0], [1], [1], ["N"])
-        b = PairDataset([2], [3], [2], ["A"])
+        a = PairDataset([0], [1], [1], [False])
+        b = PairDataset([2], [3], [2], [True])
         ds = PairDataset.concat([a, b])
         assert len(ds) == 2
         assert ds.subset([1]) == b
@@ -199,7 +202,7 @@ class TestPairFile:
         assert path.read_text().splitlines()[0] == "#pairs v1 C=5 seed=1"
 
     def test_golden_bytes(self, tmp_path):
-        ds = PairDataset([0, 12, 7], [3, 0, 12], [1, 2, 5], ["N", "A", "N"])
+        ds = PairDataset([0, 12, 7], [3, 0, 12], [1, 2, 5], [False, True, False])
         path = tmp_path / "pairs.txt"
         write_pairs(path, ds, meta={"C": 5, "seed": 1, "ratio": 0.25})
         assert path.read_bytes() == (b"#pairs v1 C=5 seed=1 ratio=0.25\n"
@@ -238,7 +241,7 @@ class TestPairFile:
     def test_whitespace_only_line_skipped(self, tmp_path):
         path = tmp_path / "pairs.txt"
         path.write_text("#pairs v1\n0 1 1 N\n \t \n2 3 1 A\n")
-        assert read_pairs(path)[0] == PairDataset([0, 2], [1, 3], [1, 1], ["N", "A"])
+        assert read_pairs(path)[0] == PairDataset([0, 2], [1, 3], [1, 1], [False, True])
 
     @pytest.mark.parametrize("body", [
         "0 1 1 N\n+5 007 1 A\n",               # sign, leading zeros
@@ -256,6 +259,22 @@ class TestPairFile:
         path = tmp_path / "pairs.txt"
         path.write_bytes(b"#pairs v1\n" + body.encode())
         assert _read_outcome(read_pairs, path) == _read_outcome(_read_by_lines, path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 10**18 - 1), st.integers(0, 10**18 - 1),
+                               st.integers(1, 50), st.booleans()), min_size=1, max_size=20))
+def test_pair_file_roundtrip_with_random_flags(tmp_path_factory, rows):
+    """Any pairs with any augmented flags read back equal, and through the
+    array-at-a-time parse."""
+    focus, context, position, flags = map(list, zip(*rows))
+    ds = PairDataset(focus, context, position, np.array(flags, dtype=bool))
+    path = tmp_path_factory.mktemp("pairs") / "pairs.txt"
+    write_pairs(path, ds)
+    assert read_pairs(path)[0] == ds
+    with open(path, encoding="utf-8") as f:
+        f.readline()
+        assert pairgen._pair_columns(f) is not None
 
 
 def _read_by_lines(path):
@@ -333,3 +352,40 @@ def test_dataset_loop_guard_sees_rogue_builds(tmp_path):
                      "for s in sentences:\n"
                      "    np.concatenate(parts)\n")
     assert [hit.split(":")[1] for hit in _datasets_built_in_loops(rogue)] == ["2", "4", "5"]
+
+
+ORIGIN_LETTERS = {"ORIGIN_NATURAL", "ORIGIN_AUGMENTED"}
+
+
+def _origin_letter_uses(path: Path) -> list[str]:
+    """Names, attributes and imports of the pair file's origin letters in one module."""
+    hits = {f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Name) and node.id in ORIGIN_LETTERS
+            or isinstance(node, ast.Attribute) and node.attr in ORIGIN_LETTERS
+            or isinstance(node, ast.ImportFrom)
+            and any(alias.name in ORIGIN_LETTERS for alias in node.names)}
+    return sorted(hits, key=lambda hit: int(hit.split(":")[1]))
+
+
+def test_origin_letters_stay_in_pair_file_code():
+    """In memory a pair's origin is its bool flag; only pairgen's file code
+    knows the letters."""
+    sources = sorted(Path(pairgen.__file__).resolve().parent.glob("*.py"))
+    assert len(sources) >= 10
+    found = [hit for path in sources if path.name != "pairgen.py"
+             for hit in _origin_letter_uses(path)]
+    assert found == [], ("select pairs by the `augmented` flag; the origin letters "
+                         "belong to pairgen's file code: " + "; ".join(found))
+    assert _origin_letter_uses(Path(pairgen.__file__))  # the guard sees pairgen's own uses
+
+
+def test_origin_letter_guard_sees_rogue_uses(tmp_path):
+    rogue = tmp_path / "rogue.py"
+    rogue.write_text("from .pairgen import ORIGIN_AUGMENTED, PairDataset\n"
+                     "natural = ds.origin == pairgen.ORIGIN_NATURAL\n"
+                     "flag = ORIGIN_AUGMENTED\n"
+                     "# ORIGIN_NATURAL in a comment is not a use\n"
+                     "name = 'ORIGIN_NATURAL'\n"
+                     "from .pairgen import PairDataset\n")
+    assert [hit.split(":")[1] for hit in _origin_letter_uses(rogue)] == ["1", "2", "3"]

@@ -255,7 +255,7 @@ class TestTrainStep:
 
     def test_untouched_rows_bitwise_unchanged(self):
         vocab, noise, config, model = self.make_setup()
-        batch = PairDataset([0, 1], [2, 3], [1, 1], ["N", "N"])
+        batch = PairDataset([0, 1], [2, 3], [1, 1], [False, False])
         negs = draw_negatives(batch.context, config.negatives, noise,
                               np.random.default_rng(99))
         before = model.copy()
@@ -276,7 +276,7 @@ class TestTrainStep:
         noise = noise_distribution(vocab)
         model = init_random(6, 4, seed=8)
         v = model.input[0].copy()
-        batch = PairDataset([0], [1], [1], ["N"])
+        batch = PairDataset([0], [1], [1], [False])
         train_step(model, batch.focus, batch.context, noise, config,
                    np.random.default_rng(3))
         # gradient at zero output is (sigma(0) - 1) v = -0.5 v
@@ -284,7 +284,7 @@ class TestTrainStep:
 
     def test_returns_mean_loss(self):
         vocab, noise, config, model = self.make_setup()
-        batch = PairDataset([0, 1, 2], [3, 4, 5], [1, 1, 1], ["N"] * 3)
+        batch = PairDataset([0, 1, 2], [3, 4, 5], [1, 1, 1], [False] * 3)
         _, loss = train_step(model, batch.focus, batch.context, noise, config,
                              np.random.default_rng(1))
         assert np.isfinite(loss) and loss > 0
@@ -352,7 +352,7 @@ def test_epoch_matches_add_at_reference(monkeypatch):
     vocab = make_vocab({f"w{i}": 12 - 2 * i for i in range(6)})
     rng = np.random.default_rng(5)
     n = 203
-    dataset = PairDataset(rng.integers(0, 6, n), rng.integers(0, 6, n), np.ones(n), ["N"] * n)
+    dataset = PairDataset(rng.integers(0, 6, n), rng.integers(0, 6, n), np.ones(n), [False] * n)
     config = TrainConfig(dim=8, negatives=5, epochs=1, learning_rate=0.3, batch_size=10, seed=9)
 
     reference = init_random(len(vocab), config.dim, derive_seed(config.seed, "sgns.init"))
@@ -407,7 +407,7 @@ def test_epoch_over_several_plan_chunks_matches_reference():
     config = TrainConfig(dim=5, negatives=3, epochs=1, learning_rate=0.2, batch_size=2, seed=3)
     n = 2 * sgns.PLAN_BATCHES * config.batch_size + 1
     rng = np.random.default_rng(11)
-    dataset = PairDataset(rng.integers(0, 7, n), rng.integers(0, 7, n), np.ones(n), ["N"] * n)
+    dataset = PairDataset(rng.integers(0, 7, n), rng.integers(0, 7, n), np.ones(n), [False] * n)
 
     reference = init_random(len(vocab), config.dim, derive_seed(config.seed, "sgns.init"))
     noise = noise_distribution(vocab, config.noise_exponent)
@@ -430,7 +430,7 @@ def test_train_step_is_the_first_step_of_train(monkeypatch):
     vocab = make_vocab({f"w{i}": 9 - i for i in range(6)})
     config = TrainConfig(dim=6, negatives=4, epochs=1, learning_rate=0.3, batch_size=5, seed=2)
     rng = np.random.default_rng(4)
-    dataset = PairDataset(rng.integers(0, 6, 17), rng.integers(0, 6, 17), np.ones(17), ["N"] * 17)
+    dataset = PairDataset(rng.integers(0, 6, 17), rng.integers(0, 6, 17), np.ones(17), [False] * 17)
     initial = init_random(len(vocab), config.dim, seed=8)
 
     first = []
@@ -529,6 +529,16 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(PairDataset.empty(), vocab, TrainConfig(dim=4, batch_size=5))
 
+    @pytest.mark.parametrize("column", ["focus", "context"])
+    def test_ids_outside_the_vocabulary_rejected(self, column):
+        """A negative id would train another word's row, one past the end raise IndexError."""
+        vocab, dataset = small_corpus()
+        for bad in (-3, len(vocab)):
+            getattr(dataset, column)[len(dataset) // 2] = bad
+            with pytest.raises(ValueError, match=f"word id {bad} is outside the vocabulary "
+                                                 f"of {len(vocab)} words"):
+                train(dataset, vocab, TrainConfig(dim=4, epochs=1, batch_size=5))
+
     def test_divergence_reports_epoch_and_batch(self):
         vocab, dataset = small_corpus()
         config = TrainConfig(dim=6, negatives=3, epochs=5, learning_rate=1e90,
@@ -548,7 +558,7 @@ class TestTrain:
         initial.input[1] = np.nan
         with np.errstate(invalid="ignore"):
             with pytest.raises(TrainingError, match=r"epoch 0, batch 1300$"):
-                train(PairDataset(focus, np.full(n, 2), np.ones(n), ["N"] * n), vocab, config,
+                train(PairDataset(focus, np.full(n, 2), np.ones(n), [False] * n), vocab, config,
                       initial=initial)
 
     def test_shared_contexts_pull_words_together(self):
