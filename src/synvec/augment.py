@@ -136,4 +136,4 @@ def read_substitutions(path: str | Path) -> np.ndarray:
                 rows.append((int(fields[0]), int(fields[1])))
             except ValueError:
                 raise ParseError(path, lineno, f"non-integer id in {fields}")
-    return np.array(rows, dtype=np.int64).reshape(-1, 2)
+    return fileio.int64_array(rows, path).reshape(-1, 2)

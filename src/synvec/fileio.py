@@ -6,6 +6,8 @@ import os
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ParseError
 
 
@@ -55,3 +57,26 @@ def records(f, path: str | Path, layout: str, sep: str | None = None, start: int
             yield lineno, fields
         elif line.strip() and not (comments and line.lstrip().startswith("#")):
             raise ParseError(path, lineno, f"expected {layout!r}, got {line.strip()!r}")
+
+
+def int64_array(values, path: str | Path) -> np.ndarray:
+    """`values`, integers parsed from the lines of `path` after its header, as
+    an int64 array. One outside int64 raises a ParseError naming its line,
+    found by reading the file again, so a well-formed file pays nothing."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        with open(path, encoding="utf-8") as f:
+            f.readline()
+            for lineno, line in enumerate(f, start=2):
+                big = [field for field in line.split() if _outside_int64(field)]
+                if big:
+                    raise ParseError(path, lineno, f"id {big[0]} does not fit in int64") from None
+        raise
+
+
+def _outside_int64(field: str) -> bool:
+    try:
+        return not -2**63 <= int(field) < 2**63
+    except ValueError:  # not an integer field, such as a pair file's origin flag
+        return False

@@ -211,4 +211,5 @@ def _read_pair_lines(path: str | Path) -> tuple:
             if fields[3] not in (ORIGIN_NATURAL, ORIGIN_AUGMENTED):
                 raise ParseError(path, lineno, f"unknown origin flag {fields[3]!r}")
             augmented.append(fields[3] == ORIGIN_AUGMENTED)
-    return focus, context, position, np.array(augmented, dtype=bool)
+    return (*fileio.int64_array([focus, context, position], path),
+            np.array(augmented, dtype=bool))

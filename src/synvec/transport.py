@@ -3,10 +3,13 @@
 Network simplex specialized to the dense bipartite graph of m supply rows
 and n demand columns. The basis (m + n - 1 cells) is kept as a spanning
 tree over the m + n nodes, rooted at row 0, with a parent, depth and child
-list per node and one vector of node potentials (row potentials u, column
-potentials v, with u_i + v_j = cost_ij on every basic cell). The tree is
-strongly feasible (Cunningham 1976): every zero-flow basic cell (i, j) has
-column j as the parent of row i, so it points towards the root.
+list per node and one list of node potentials (row potentials u, column
+potentials v, with u_i + v_j = cost_ij on every basic cell). Each pass
+prices every cell from that list into one (m, n) buffer, allocated once
+per solve, and a pivot walks the re-hung subtree once, setting its depths
+and shifting its potentials together. The tree is strongly feasible
+(Cunningham 1976): every zero-flow basic cell (i, j) has column j as the
+parent of row i, so it points towards the root.
 
 - Start: least-cost rule. Cells are visited in order of increasing cost;
   each cell whose row and column still have mass gets min(supply, demand),
@@ -76,6 +79,8 @@ def solve_transport(
     supply = np.asarray(supply, dtype=np.float64)
     demand = np.asarray(demand, dtype=np.float64)
     cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != 2 or cost.size == 0:
+        raise ValueError(f"cost must be a non-empty 2-D matrix, got shape {cost.shape}")
     m, n = cost.shape
     if supply.shape != (m,) or demand.shape != (n,):
         raise ValueError("supply/demand shapes do not match the cost matrix")
@@ -84,30 +89,34 @@ def solve_transport(
         raise ValueError("supply, demand and cost entries must be finite")
     if (supply <= 0).any() or (demand <= 0).any():
         raise ValueError("supply and demand masses must be strictly positive")
-    if not np.isclose(supply.sum(), demand.sum(), rtol=0, atol=1e-9):
+    if not abs(float(supply.sum()) - float(demand.sum())) <= 1e-9:
         raise ValueError(
             f"unbalanced problem: supply {supply.sum()!r} vs demand {demand.sum()!r}"
         )
+    if max_iterations is None:
+        max_iterations = 1000 * (m + n) + 10_000
+    elif max_iterations < 0:
+        raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
 
-    # +1 on row nodes, -1 on column nodes: the sign of a subtree's shift.
-    side = np.concatenate([np.ones(m), -np.ones(n)])
     # Reduced costs below -tol trigger a pivot; relative to the cost scale
     # so exactness does not degrade for very small or very large costs.
     tol = 1e-12 * float(np.abs(cost).max())
     up_flow, parent, depth, children, pot = _least_cost_start(supply, demand, cost)
-    if max_iterations is None:
-        max_iterations = 1000 * (m + n) + 10_000
 
+    reduced = np.empty((m, n))  # (cost_ij - u_i) - v_j, priced in place each pass
     for _ in range(max_iterations):
-        reduced = cost - pot[:m, None] - pot[None, m:]
-        entering = divmod(int(reduced.argmin()), n)
-        if not reduced[entering] < -tol:
+        u = np.array(pot, dtype=np.float64)
+        np.subtract(cost, u[:m, None], out=reduced)
+        np.subtract(reduced, u[None, m:], out=reduced)
+        k = int(reduced.argmin())
+        r = reduced.item(k)
+        if not r < -tol:
             flow = np.zeros((m, n))
             for node, up in enumerate(parent):
                 if up >= 0:
                     flow[(node, up - m) if node < m else (up, node - m)] = up_flow[node]
             return flow, float((flow * cost).sum())
-        row, col = entering[0], m + entering[1]
+        row, col = k // n, m + k % n
         row_side, col_side = _paths_to_common_ancestor(parent, depth, row, col)
         # A node on either path stands for the cell joining it to its parent.
         # From each end of the entering cell the cycle's cells alternate
@@ -136,17 +145,17 @@ def solve_transport(
             if node == cut:
                 break
             node, new_parent = old_parent, node
-        subtree = [top]
-        depth[top] = depth[anchor] + 1
-        for node in subtree:
-            for child in children[node]:
-                depth[child] = depth[node] + 1
-                subtree.append(child)
         # Keep u_i + v_j = cost_ij on the entering cell: the subtree's nodes
         # of the same kind as its new root move by the reduced cost, the
         # others by its negative, which leaves every cell inside it tight.
-        shift = reduced[entering] if top < m else -reduced[entering]
-        pot[subtree] += shift * side[subtree]
+        rise = r if top < m else -r
+        subtree = [top]
+        depth[top] = depth[anchor] + 1
+        for node in subtree:
+            pot[node] += rise if node < m else -rise
+            for child in children[node]:
+                depth[child] = depth[node] + 1
+                subtree.append(child)
     raise TransportSolverError(
         f"no convergence after {max_iterations} iterations on a {m}x{n} problem"
     )
@@ -207,7 +216,7 @@ def _least_cost_start(supply, demand, cost):
             hang(x, m + cols[int(cost[x, cols].argmin())], 0.0)
         else:  # a column with no flow: see the module docstring
             hang(x, root, 0.0)
-    return up_flow, parent, depth, children, np.array(pot)
+    return up_flow, parent, depth, children, pot
 
 
 def _paths_to_common_ancestor(parent, depth, a, b):

@@ -12,6 +12,7 @@ from synvec.augment import (
     read_substitutions,
     write_substitutions,
 )
+from synvec.errors import ParseError
 from synvec.lexicon import SynonymLexicon, is_candidate, sample_synonym
 from synvec.pairgen import PairDataset, generate_pairs
 
@@ -280,6 +281,14 @@ def test_substitutions_file_roundtrip(tmp_path):
     assert np.array_equal(read_substitutions(path), subs)
     assert path.read_text().splitlines()[0] == "#subs v1 seed=42"
     assert path.read_text().splitlines()[1:] == ["3\t9", "1\t4", "3\t9"]
+
+
+@pytest.mark.parametrize("big", ["99999999999999999999", "-9223372036854775809"])
+def test_substitution_past_int64_names_its_line(tmp_path, big):
+    path = tmp_path / "subs.tsv"
+    path.write_text(f"#subs v1\n3\t9\n\n{big}\t4\n")
+    with pytest.raises(ParseError, match=rf"subs.tsv:4: id {big} does not fit in int64"):
+        read_substitutions(path)
 
 
 @settings(max_examples=100, deadline=None)

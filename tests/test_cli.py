@@ -524,6 +524,26 @@ class TestPipeline:
                 f"{n_words} words") in capsys.readouterr().err
         assert not list(d.glob("out.txt*"))
 
+    @pytest.mark.parametrize("command", ["train", "eval-pairsets"])
+    def test_id_past_int64_exits_one(self, pipeline_dir, command, capsys):
+        """An id too long for int64, in a pair file's line-by-line parse or a
+        .subs file, is named by file and line; the stage exits 1."""
+        d = pipeline_dir
+        prepare(d)
+        big = "99999999999999999999"
+        (d / "big.pairs").write_text(f"#pairs v1\n0 {big} 1 N\n")
+        (d / "big.subs").write_text(f"#subs v1\n0\t{big}\n")
+        argv = {
+            "train": ["--pairs", d / "big.pairs", "--dim", "8"],
+            "eval-pairsets": ["--model", d / "model.txt", "--pairs", d / "pairs.txt",
+                              "--subs", d / "big.subs", "--size", "1,3,3"],
+        }[command]
+        bad = "big.pairs" if command == "train" else "big.subs"
+        assert run([command, *argv, "--vocab", d / "vocab.tsv", "--out", d / "out.txt"]) == 1
+        assert (f"synvec {command}: error: {d / bad}:2: id {big} does not fit in int64"
+                in capsys.readouterr().err)
+        assert not list(d.glob("out.txt*"))
+
 
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self):

@@ -1,7 +1,11 @@
+import hashlib
+import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from synvec import transport
@@ -66,6 +70,30 @@ def transport_instances(count=40, seed=41):
         pts, qts = rng.normal(size=(m, 8)), rng.normal(size=(n, 8))
         cost = np.sqrt(((pts[:, None] - qts[None]) ** 2).sum(-1))
         yield supply / supply.sum(), demand / demand.sum(), cost
+
+
+def lattice_tie_instances():
+    """Uniform masses over clustered integer points, which maximize pivot
+    degeneracy: 25 square problems, then 25 rectangular ones."""
+    rng = np.random.default_rng(30)
+    for _ in range(25):
+        m = int(rng.integers(4, 14))
+        pts = rng.integers(0, 3, size=(m, 2)).astype(float)
+        qts = rng.integers(0, 3, size=(m, 2)).astype(float)
+        cost = np.sqrt(((pts[:, None] - qts[None]) ** 2).sum(-1))
+        yield np.full(m, 1.0 / m), np.full(m, 1.0 / m), cost
+    rect = np.random.default_rng(31)
+    for _ in range(25):
+        m, n = (int(x) for x in rect.integers(1, 14, size=2))
+        pts = rect.integers(0, 3, size=(m, 2)).astype(float)
+        qts = rect.integers(0, 3, size=(n, 2)).astype(float)
+        cost = np.sqrt(((pts[:, None] - qts[None]) ** 2).sum(-1))
+        yield np.full(m, 1.0 / m), np.full(n, 1.0 / n), cost
+
+
+# Per instance of each set above, the solver's total as float.hex() and a
+# SHA-256 of its flow's bytes.
+SOLVER_BITS = Path(__file__).with_name("solver_bits.json")
 
 
 class TestNBow:
@@ -196,6 +224,12 @@ class TestWMD:
             solve_transport(np.array([1.0, 0.0]), good, cost)
         with pytest.raises(ValueError, match="unbalanced"):
             solve_transport(np.array([0.9, 0.5]), good, cost)
+        with pytest.raises(ValueError, match=r"got shape \(2,\)"):
+            solve_transport(good, good, np.ones(2))
+        with pytest.raises(ValueError, match=r"got shape \(0, 0\)"):
+            solve_transport(np.ones(0), np.ones(0), np.ones((0, 0)))
+        with pytest.raises(ValueError, match="max_iterations must be non-negative, got -3"):
+            solve_transport(good, good, cost, max_iterations=-3)
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 solve_transport(good, good, np.array([[1.0, bad], [0.0, 1.0]]))
@@ -225,31 +259,22 @@ class TestWMD:
             wmd(model, d1, d2)
 
     def test_solver_exact_on_degenerate_ties(self):
-        # Uniform masses over clustered integer points maximize pivot
-        # degeneracy; the solver must still reach the LP optimum.
-        rng = np.random.default_rng(30)
-        for _ in range(25):
-            m = int(rng.integers(4, 14))
-            pts = rng.integers(0, 3, size=(m, 2)).astype(float)
-            qts = rng.integers(0, 3, size=(m, 2)).astype(float)
-            cost = np.sqrt(((pts[:, None] - qts[None]) ** 2).sum(-1))
-            masses = np.full(m, 1.0 / m)
-            _, total = solve_transport(masses, masses, cost)
-            assert total == pytest.approx(
-                lp_transport_cost(masses, masses, cost), abs=1e-9
-            )
-        # Rectangular ties: uniform masses of different support sizes.
-        rect = np.random.default_rng(31)
-        for _ in range(25):
-            m, n = (int(x) for x in rect.integers(1, 14, size=2))
-            pts = rect.integers(0, 3, size=(m, 2)).astype(float)
-            qts = rect.integers(0, 3, size=(n, 2)).astype(float)
-            cost = np.sqrt(((pts[:, None] - qts[None]) ** 2).sum(-1))
-            supply, demand = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+        for supply, demand, cost in lattice_tie_instances():
             _, total = solve_transport(supply, demand, cost)
             assert total == pytest.approx(
                 lp_transport_cost(supply, demand, cost), abs=1e-9
             )
+
+    @pytest.mark.parametrize("instances", [transport_instances, lattice_tie_instances])
+    def test_solver_bits_are_pinned(self, instances):
+        # A change to the start, the entering or leaving rule, or the order
+        # of any sum shows here, and must re-record the file and say why.
+        def fingerprint(supply, demand, cost):
+            flow, total = solve_transport(supply, demand, cost)
+            return [total.hex(), hashlib.sha256(flow.tobytes()).hexdigest()]
+
+        recorded = json.loads(SOLVER_BITS.read_text())[instances.__name__]
+        assert [fingerprint(*problem) for problem in instances()] == recorded
 
     def test_solver_keeps_tree_strongly_feasible(self, monkeypatch):
         # Every zero-flow basic cell must hang a row from its column, which
@@ -322,6 +347,35 @@ class TestWMD:
             assert np.count_nonzero(flow) <= m + n - 1
             assert np.abs(flow.sum(axis=1) - supply).max() <= 1e-12
             assert np.abs(flow.sum(axis=0) - demand).max() <= 1e-12
+
+
+@st.composite
+def lattice_problems(draw):
+    """m x n problems, 1 <= m, n <= 12, with Euclidean costs between points
+    of a 3 x 3 lattice (many ties, many degenerate pivots) and random
+    positive masses."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    point = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    pts = np.array(draw(st.lists(point, min_size=m, max_size=m)), dtype=float)
+    qts = np.array(draw(st.lists(point, min_size=n, max_size=n)), dtype=float)
+    cost = np.sqrt(((pts[:, None] - qts[None]) ** 2).sum(-1))
+    mass = st.floats(0.01, 1.0)
+    supply = np.array(draw(st.lists(mass, min_size=m, max_size=m)))
+    demand = np.array(draw(st.lists(mass, min_size=n, max_size=n)))
+    return supply / supply.sum(), demand / demand.sum(), cost
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=lattice_problems())
+def test_solver_is_an_lp_optimal_basic_flow(problem):
+    supply, demand, cost = problem
+    m, n = cost.shape
+    flow, total = solve_transport(supply, demand, cost)
+    assert total == pytest.approx(lp_transport_cost(supply, demand, cost), abs=1e-9)
+    assert (flow >= 0).all()
+    assert np.count_nonzero(flow) <= m + n - 1
+    assert np.abs(flow.sum(axis=1) - supply).max() <= 1e-12
+    assert np.abs(flow.sum(axis=0) - demand).max() <= 1e-12
 
 
 class TestLowerBounds:

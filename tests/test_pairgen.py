@@ -238,6 +238,13 @@ class TestPairFile:
         with pytest.raises(ParseError, match=message):
             read_pairs(path)
 
+    @pytest.mark.parametrize("big", ["99999999999999999999", "-9223372036854775809"])
+    def test_id_past_int64_names_its_line(self, tmp_path, big):
+        path = tmp_path / "pairs.txt"
+        path.write_text(f"#pairs v1\n0 1 1 N\n\n0 {big} 1 N\n2 3 1 A\n")
+        with pytest.raises(ParseError, match=rf"pairs.txt:4: id {big} does not fit in int64"):
+            read_pairs(path)
+
     def test_whitespace_only_line_skipped(self, tmp_path):
         path = tmp_path / "pairs.txt"
         path.write_text("#pairs v1\n0 1 1 N\n \t \n2 3 1 A\n")
