@@ -129,7 +129,7 @@ def write_substitutions(
 def read_substitutions(path: str | Path) -> np.ndarray:
     """The file's substitutions as an int64 array of [focus, synonym] rows."""
     rows = []
-    with open(path, encoding="utf-8") as f:
+    with fileio.open_text(path) as f:
         fileio.read_header(f, path, "subs")
         for lineno, fields in fileio.records(f, path, "<focus>\t<synonym>", "\t"):
             try:

@@ -126,7 +126,7 @@ def read_config(path: str | Path) -> dict[str, str]:
     """Parse `key = value` lines. A line whose first non-blank character is
     `#` is a comment; a `#` anywhere else belongs to the value."""
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f:
+    with fileio.open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -374,7 +374,7 @@ def cmd_eval_wmd(p):
 def cmd_report(p):
     rows = []
     for path in p.inputs:
-        with open(path, encoding="utf-8", newline="") as f:
+        with fileio.open_text(path, newline="") as f:
             header: list[str] | None = None
             reader = csv.reader(f)
             for record in reader:

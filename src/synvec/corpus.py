@@ -46,12 +46,12 @@ def tokenize(text: str) -> TokenizedCorpus:
 def read_text_files(paths: Sequence[str | Path]) -> str:
     """Read and concatenate UTF-8 text files in the given order.
 
-    Raises UnicodeDecodeError (which identifies the offending byte offset)
-    on invalid input.
+    A byte that is not UTF-8 raises a ParseError naming its file and line.
     """
     parts = []
     for path in paths:
-        parts.append(Path(path).read_bytes().decode("utf-8"))
+        with fileio.open_text(path, newline="") as f:
+            parts.append(f.read())
     return "\n".join(parts)
 
 
@@ -141,7 +141,7 @@ def write_vocab(path: str | Path, vocab: Vocabulary) -> None:
 
 
 def read_vocab(path: str | Path) -> Vocabulary:
-    with open(path, encoding="utf-8") as f:
+    with fileio.open_text(path) as f:
         min_count = fileio.read_header(f, path, "vocab").get("min_count", "")
         if not min_count.isdecimal():
             raise ParseError(path, 1, "expected '#vocab v1 min_count=<n>' header")
@@ -170,7 +170,7 @@ def write_tokens(path: str | Path, corpus: TokenizedCorpus) -> None:
 
 def read_tokens(path: str | Path) -> TokenizedCorpus:
     corpus = []
-    with open(path, encoding="utf-8") as f:
+    with fileio.open_text(path) as f:
         for line in f:
             tokens = line.split()
             if tokens:

@@ -28,7 +28,7 @@ def write_text(path: str | Path, words: Sequence[str], matrix: np.ndarray) -> No
 
 
 def read_text(path: str | Path) -> tuple[list[str], np.ndarray]:
-    with open(path, encoding="utf-8") as f:
+    with fileio.open_text(path) as f:
         count, dim = _parse_header(path, f.readline())
         words: list[str] = []
         linenos: list[int] = []

@@ -258,7 +258,7 @@ class ClassificationCorpus:
 def read_split_manifest(path: str | Path) -> dict[str, str]:
     """Parse `<class>/<doc>\\t<train|test>` lines."""
     assignment = {}
-    with open(path, encoding="utf-8") as f:
+    with fileio.open_text(path) as f:
         layout = "<class>/<doc>\t<train|test>"
         for lineno, (doc, part) in fileio.records(f, path, layout, "\t", start=1, comments=True):
             if part not in ("train", "test"):
@@ -284,7 +284,8 @@ def load_classification_corpus(
                 if destination is None:
                     corpus.unassigned += 1
                     continue
-            text = doc_path.read_bytes().decode("utf-8")
+            with fileio.open_text(doc_path, newline="") as f:
+                text = f.read()
             tokens = [t for sentence in tokenize(text) for t in sentence]
             try:
                 doc = nbow(tokens, vocab, label=class_dir.name, doc_id=doc_key)

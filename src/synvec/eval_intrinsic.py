@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import fileio
 from .corpus import Vocabulary
 from .errors import ParseError
 from .pairgen import PairDataset
@@ -231,7 +232,7 @@ def load_similarity(path: str | Path) -> SimilarityDataset:
     cols = (0, 1, 2)  # word1, word2, score
     pairs = []
     seen: set[tuple[str, str]] = set()
-    with open(path, encoding="utf-8") as f:
+    with fileio.open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             fields = line.split("\t") if "\t" in line else line.split()

@@ -1,4 +1,4 @@
-"""The file layer: atomic output files and the `#<tag> v1` line formats."""
+"""The file layer: atomic output files, UTF-8 text inputs and the `#<tag> v1` line formats."""
 
 from __future__ import annotations
 
@@ -29,6 +29,23 @@ def output(path: str | Path, mode: str, **open_kwargs):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+@contextmanager
+def open_text(path: str | Path, newline: str | None = None):
+    """`path` opened to read as UTF-8 text. A byte that is not UTF-8 raises a
+    ParseError naming its line, found from the file's bytes only after the
+    decode has failed, so a well-formed file pays nothing."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as f:
+            yield f
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as first:
+            raise ParseError(path, data.count(b"\n", 0, first.start) + 1, str(first)) from first
+        raise  # the file decodes: the error came from elsewhere in the block
 
 
 def header(tag: str, meta: dict | None = None) -> str:
@@ -66,7 +83,7 @@ def int64_array(values, path: str | Path) -> np.ndarray:
     try:
         return np.array(values, dtype=np.int64)
     except OverflowError:
-        with open(path, encoding="utf-8") as f:
+        with open_text(path) as f:
             f.readline()
             for lineno, line in enumerate(f, start=2):
                 big = [field for field in line.split() if _outside_int64(field)]

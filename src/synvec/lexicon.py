@@ -49,7 +49,7 @@ def load_lexicon(path: str | Path) -> SynonymLexicon:
     """Load a `#synlex v1` TSV of `<word>\\t<pos>\\t<synonym>` records."""
     entries: dict[str, set[tuple[str, str]]] = {}
     dropped = 0
-    with open(path, encoding="utf-8") as f:
+    with fileio.open_text(path) as f:
         fileio.read_header(f, path, "synlex")
         layout = "<word>\t<pos>\t<synonym>"
         for lineno, fields in fileio.records(f, path, layout, "\t", comments=True):

@@ -8,6 +8,7 @@ offset c from its focus word is kept independently with probability
 from __future__ import annotations
 
 import itertools
+import warnings
 from pathlib import Path
 from typing import Iterable
 
@@ -149,56 +150,40 @@ def write_pairs(path: str | Path, dataset: PairDataset, meta: dict | None = None
         f.writelines(f"{a} {b} {c} {o}\n" for a, b, c, o in zip(*columns))
 
 
+# A body line for np.loadtxt; two origin bytes, so that `NA` is not cut to `N`.
+_ROW = np.dtype([("focus", np.int64), ("context", np.int64), ("position", np.int64),
+                 ("origin", "S2")])
+
+
 def read_pairs(path: str | Path) -> tuple[PairDataset, dict[str, str]]:
-    with open(path, encoding="utf-8") as f:
+    """The pairs and header fields of a `#pairs v1` file, read by np.loadtxt.
+    The line loop `_read_pair_lines` is the reference it must equal, and names
+    a bad line: it reads a file numpy refuses, with a flag not N or A, or with
+    a NUL byte (numpy drops a flag's trailing NULs)."""
+    with fileio.open_text(path) as f:
         meta = fileio.read_header(f, path, "pairs")
-        columns = _pair_columns(f)
-    if columns is None:  # not write_pairs' exact layout: parse line by line
-        columns = _read_pair_lines(path)
-    return PairDataset(*columns), meta
+        try:
+            with warnings.catch_warnings():  # a body without pairs is an empty dataset
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(f, dtype=_ROW, comments=None, ndmin=1)
+        except ValueError:
+            rows = None
+        if rows is not None and not _holds_nul(f):
+            augmented = rows["origin"] == ORIGIN_AUGMENTED.encode()
+            if (augmented | (rows["origin"] == ORIGIN_NATURAL.encode())).all():
+                return PairDataset(*(rows[k].copy() for k in _ROW.names[:3]), augmented), meta
+    return PairDataset(*_read_pair_lines(path)), meta
 
 
-# The separators of a `<focus> <context> <position> <origin>` line (three
-# spaces, then the newline after the origin flag), and the longest id field
-# the fast parse takes: 18 digits stay below 2**63.
-_SEPARATORS = np.array([ord(" "), ord(" "), ord(" "), ord("\n")], dtype=np.uint8)
-_MAX_ID_DIGITS = 18
-
-
-def _pair_columns(f) -> tuple | None:
-    """The columns of the rest of ``f`` when every line reads exactly as
-    write_pairs writes it (ASCII digits, single spaces, a one-letter origin,
-    a newline), parsed array-at-a-time; None otherwise."""
-    try:
-        text = np.frombuffer(bytearray(f.read(), "ascii"), dtype=np.uint8)
-    except UnicodeError:
-        return None
-    marks = np.flatnonzero(text - ord("0") >= 10)  # every byte that is not a digit
-    if len(marks) % 5 or text[-1:].tolist() != [ord("\n")]:
-        return None
-    marks = marks.reshape(-1, 5)  # per line: three spaces, the origin flag, the newline
-    kinds = text[marks]
-    augmented = kinds[:, 3] == ord(ORIGIN_AUGMENTED)
-    if ((kinds[:, [0, 1, 2, 4]] != _SEPARATORS).any()
-            or not (augmented | (kinds[:, 3] == ord(ORIGIN_NATURAL))).all()
-            or (marks[:, 4] - marks[:, 2] != 2).any()):  # space, flag, newline adjacent
-        return None
-    left = np.concatenate([[-1], marks[:-1, 4]])
-    for j in range(3):
-        width = marks[:, j] - left - 1
-        if ((width < 1) | (width > _MAX_ID_DIGITS)).any():
-            return None
-        left = marks[:, j]
-    text[marks[:, 3]] = ord(" ")
-    n_lines = len(marks)
-    del marks, left  # free before the parse allocates the ids
-    ids = np.fromstring(text, dtype=np.int64, count=3 * n_lines, sep=" ").reshape(-1, 3)
-    return (*np.ascontiguousarray(ids.T), augmented)
+def _holds_nul(f) -> bool:
+    """Whether the file under the text stream ``f`` holds a NUL byte."""
+    f.buffer.seek(0)
+    return any(b"\0" in chunk for chunk in iter(lambda: f.buffer.read(1 << 20), b""))
 
 
 def _read_pair_lines(path: str | Path) -> tuple:
     """The columns of a pair file, line by line; a ParseError names the bad line."""
-    with open(path, encoding="utf-8") as f:
+    with fileio.open_text(path) as f:
         f.readline()
         focus, context, position, augmented = [], [], [], []
         for lineno, fields in fileio.records(f, path, "<focus> <context> <position> <origin>"):

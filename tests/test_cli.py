@@ -544,6 +544,41 @@ class TestPipeline:
                 in capsys.readouterr().err)
         assert not list(d.glob("out.txt*"))
 
+    @pytest.mark.parametrize("command", ["tokenize", "build-vocab", "train", "augment",
+                                         "gen-pairs", "eval-wmd"])
+    def test_byte_not_utf8_names_file_and_line(self, pipeline_dir, command, capsys):
+        """A byte that is not UTF-8, in any input a stage reads, is named by
+        file and line; the stage exits 1 and writes nothing."""
+        d = pipeline_dir
+        prepare(d)
+        docs = d / "docs"
+        for klass in ("gems", "boats"):
+            (docs / klass).mkdir(parents=True)
+            (docs / klass / "d0.txt").write_text(f"the {klass[:-1]}.")
+        bad, body, line = {
+            "tokenize": ("bad.txt", b"one.\ntwo \xff.\n", 2),
+            "build-vocab": ("bad.tok", b"the gem\nthe \xff\n", 2),
+            "train": ("bad.pairs", b"#pairs v1\n0 1 1 N\n0 1 1 \xff\n", 3),
+            "augment": ("bad.tsv", b"#synlex v1\ngem\tnoun\tjewel\n\xff\tnoun\tgem\n", 3),
+            "gen-pairs": ("bad.cfg", b"seed = 7\ncontext_size = \xff\n", 2),
+            "eval-wmd": ("docs/boats/d1.txt", b"the boat\nthe \xff.", 2),
+        }[command]
+        (d / bad).write_bytes(body)
+        argv = {
+            "tokenize": [d / "raw.txt", d / bad],
+            "build-vocab": ["--corpus", d / bad],
+            "train": ["--pairs", d / bad, "--vocab", d / "vocab.tsv", "--dim", "8"],
+            "augment": ["--pairs", d / "pairs.txt", "--vocab", d / "vocab.tsv",
+                        "--lexicon", d / bad, "--ratio", "0.25"],
+            "gen-pairs": ["--config", d / bad, "--corpus", d / "tokens.txt",
+                          "--vocab", d / "vocab.tsv"],
+            "eval-wmd": ["--model", d / "model.txt", "--docs", docs, "--k", "1"],
+        }[command]
+        assert run([command, *argv, "--out", d / "out.txt"]) == 1
+        assert (f"synvec {command}: error: {d / bad}:{line}: 'utf-8' codec can't decode "
+                f"byte 0xff" in capsys.readouterr().err)
+        assert not list(d.glob("out.txt*"))
+
 
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self):

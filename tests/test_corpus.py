@@ -69,11 +69,13 @@ class TestReadTextFiles:
         assert tokenize(text) == [["one"], ["two"]]
 
     def test_invalid_utf8_reports_byte_offset(self, tmp_path):
+        """The ParseError names the file among several, and the line."""
+        (tmp_path / "ok.txt").write_text("one.\ntwo.\n")
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"fine until \xff\xfe here")
-        with pytest.raises(UnicodeDecodeError) as err:
-            read_text_files([bad])
-        assert err.value.start == 11
+        with pytest.raises(ParseError, match=r"bad.txt:1: .* in position 11") as err:
+            read_text_files([tmp_path / "ok.txt", bad])
+        assert err.value.__cause__.start == 11
 
 
 class TestBuildVocabulary:

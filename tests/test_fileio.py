@@ -8,6 +8,7 @@ import pytest
 
 from synvec import fileio
 from synvec.corpus import write_tokens
+from synvec.errors import ParseError
 
 SRC = Path(fileio.__file__).resolve().parent
 
@@ -94,6 +95,15 @@ def test_records_skip_comments_only_when_asked(tmp_path):
             (5, ["word", "2"])]
 
 
+def _string_args(call: ast.Call) -> list[str]:
+    return [a.value for a in call.args + [k.value for k in call.keywords]
+            if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+
+
+def _write_mode(modes: list[str]) -> bool:
+    return any(set(m) & set("wax+") and set(m) <= set("rwaxbt+") for m in modes)
+
+
 def _writes_outside_file_layer(path: Path) -> list[str]:
     """`open(...)` calls with a write, append or create mode and
     `.write_text`/`.write_bytes` calls in one module. A call on one of the
@@ -107,9 +117,8 @@ def _writes_outside_file_layer(path: Path) -> list[str]:
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
         receiver = getattr(getattr(func, "value", None), "id", None)
         if name == "open":
-            modes = [a.value for a in node.args + [k.value for k in node.keywords]
-                     if isinstance(a, ast.Constant) and isinstance(a.value, str)]
-            if any(set(m) & set("wax+") and set(m) <= set("rwaxbt+") for m in modes):
+            modes = _string_args(node)
+            if _write_mode(modes):
                 found.append(f"{path.name}:{node.lineno}: open(..., {modes})")
         elif name in ("write_text", "write_bytes") and receiver not in modules:
             found.append(f"{path.name}:{node.lineno}: .{name}(...)")
@@ -130,3 +139,73 @@ def test_guard_sees_a_bypassing_writer(tmp_path):
                      'open(p, encoding="utf-8")\n')
     lines = sorted(hit.split(":")[1] for hit in _writes_outside_file_layer(rogue))
     assert lines == ["1", "2", "3"]
+
+
+def _reads_outside_file_layer(path: Path) -> list[tuple[str, str]]:
+    """`(function, hit)` for each `open(...)` call without a write mode, each
+    `.read_text`/`.read_bytes` call and each `.decode(...)` call in one module.
+    A call on one of the package's own modules (`embed_io.read_text`) is that
+    module's function."""
+    modules = {p.stem for p in SRC.glob("*.py")}
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    owner = {}  # node -> innermost enclosing function; ast.walk visits outer ones first
+    for function in ast.walk(tree):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((node, function.name) for node in ast.walk(function))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        receiver = getattr(getattr(func, "value", None), "id", None)
+        if (name == "open" and not _write_mode(_string_args(node))
+                or name in ("read_text", "read_bytes") and receiver not in modules
+                or name == "decode"):
+            found.append((owner.get(node, "<module>"), f"{path.name}:{node.lineno}: {name}"))
+    return found
+
+
+# word2vec binary holds raw float bytes; its per-word decode raises its own ParseError
+BINARY_READERS = {("embed_io.py", "read_binary")}
+
+
+def test_every_text_read_goes_through_the_file_layer():
+    sources = [p for p in SRC.glob("*.py") if p.name != "fileio.py"]
+    assert len(sources) >= 10
+    found = [hit for p in sorted(sources) for function, hit in _reads_outside_file_layer(p)
+             if (p.name, function) not in BINARY_READERS]
+    assert found == [], "read through fileio.open_text instead: " + "; ".join(found)
+    assert _reads_outside_file_layer(SRC / "embed_io.py")  # the guard sees read_binary
+
+
+def test_guard_sees_a_bypassing_reader(tmp_path):
+    rogue = tmp_path / "rogue.py"
+    rogue.write_text('with open(p, encoding="utf-8") as f: pass\n'
+                     'def load(p):\n    return Path(p).read_bytes().decode("utf-8")\n'
+                     'Path(p).read_text()\nopen(p, "rb")\nopen(p, "w")\n'
+                     'embed_io.read_text(p)\nfileio.open_text(p)\n')
+    assert sorted(_reads_outside_file_layer(rogue), key=lambda hit: hit[1]) == [
+        ("<module>", "rogue.py:1: open"), ("load", "rogue.py:3: decode"),
+        ("load", "rogue.py:3: read_bytes"), ("<module>", "rogue.py:4: read_text"),
+        ("<module>", "rogue.py:5: open")]
+
+
+def test_byte_not_utf8_names_its_line(tmp_path):
+    path = tmp_path / "rows.tsv"
+    path.write_bytes(b"#x v1\nword\t2\nw\xc3rd\t3\n")
+    with pytest.raises(ParseError, match=r"rows.tsv:3: 'utf-8' codec can't decode byte 0xc3 "
+                                         r"in position 14") as err:
+        with fileio.open_text(path) as f:
+            list(f)
+    assert err.value.line == 3 and err.value.__cause__.start == 14
+
+
+def test_decode_error_from_elsewhere_passes_through(tmp_path):
+    """Only the file's own bytes are blamed on the file."""
+    path = tmp_path / "rows.tsv"
+    path.write_text("fine\n")
+    with pytest.raises(UnicodeDecodeError) as err:
+        with fileio.open_text(path):
+            b"\xff".decode("utf-8")
+    assert not isinstance(err.value, ParseError)

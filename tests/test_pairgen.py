@@ -1,5 +1,6 @@
 import ast
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -229,6 +230,8 @@ class TestPairFile:
     @pytest.mark.parametrize("line, message", [
         ("4 5 1 NA", r":3: unknown origin flag 'NA'"),
         ("4 5 1 N1", r":3: unknown origin flag 'N1'"),
+        ("4 5 1 A\x00", r":3: unknown origin flag 'A\\x00'"),
+        ("4 5 1 N\x00", r":3: unknown origin flag 'N\\x00'"),
         ("4 1.0 1 N", r":3: non-integer id field"),
         ("4 5 1 N 7", r":3: expected '<focus> <context> <position> <origin>'"),
     ])
@@ -252,7 +255,7 @@ class TestPairFile:
 
     @pytest.mark.parametrize("body", [
         "0 1 1 N\n+5 007 1 A\n",               # sign, leading zeros
-        "1234567890123456789 1 1 N\n",         # 19 digits: past the fast parse
+        "1234567890123456789 1 1 N\n",         # 19 digits, inside int64
         "00000000000000000001 1 1 N\n",        # 20 digits, a small value
         "9999999999999999999 1 1 N\n",         # 19 digits, past int64
         "0 1 1 N\n 5 1 N\n",                    # an empty first field
@@ -267,21 +270,44 @@ class TestPairFile:
         path.write_bytes(b"#pairs v1\n" + body.encode())
         assert _read_outcome(read_pairs, path) == _read_outcome(_read_by_lines, path)
 
+    @pytest.mark.parametrize("body", [
+        "0\t1\t1\tN\n",                        # tabs
+        "0  1   1 N  \n",                      # runs of spaces, trailing spaces
+        "0 1 1 N\r\n2 3 1 A\r\n",              # CRLF
+        "0 1 1 N\n\n \t \n2 3 1 A\n",          # blank lines
+        "0 1 1 N\n2 3 1 A",                     # no final newline
+        "1234567890123456789 1 1 N\n",         # 19 digits, inside int64
+        "\n\n",                                 # blank lines only
+        "",                                     # header only
+    ])
+    def test_tolerant_layouts_skip_the_line_loop(self, tmp_path, monkeypatch, body):
+        """Layouts numpy reads as the line loop does never reach the loop."""
+        path = tmp_path / "pairs.txt"
+        path.write_bytes(b"#pairs v1\n" + body.encode())
+        want = _read_by_lines(path)[0]
+        monkeypatch.setattr(pairgen, "_read_pair_lines", _unreachable)
+        assert read_pairs(path)[0] == want
+
 
 @settings(max_examples=100, deadline=None)
-@given(rows=st.lists(st.tuples(st.integers(0, 10**18 - 1), st.integers(0, 10**18 - 1),
+@given(rows=st.lists(st.tuples(st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1),
                                st.integers(1, 50), st.booleans()), min_size=1, max_size=20))
 def test_pair_file_roundtrip_with_random_flags(tmp_path_factory, rows):
-    """Any pairs with any augmented flags read back equal, and through the
-    array-at-a-time parse."""
+    """Any pairs with any augmented flags read back equal, as C-contiguous
+    int64 columns, and without the line loop."""
     focus, context, position, flags = map(list, zip(*rows))
     ds = PairDataset(focus, context, position, np.array(flags, dtype=bool))
     path = tmp_path_factory.mktemp("pairs") / "pairs.txt"
     write_pairs(path, ds)
-    assert read_pairs(path)[0] == ds
-    with open(path, encoding="utf-8") as f:
-        f.readline()
-        assert pairgen._pair_columns(f) is not None
+    with mock.patch.object(pairgen, "_read_pair_lines", _unreachable):
+        loaded = read_pairs(path)[0]
+    assert loaded == ds
+    for column in (loaded.focus, loaded.context, loaded.position):
+        assert column.dtype == np.int64 and column.flags.c_contiguous
+
+
+def _unreachable(path):
+    raise AssertionError(f"{path} was read by the line loop")
 
 
 def _read_by_lines(path):
@@ -300,8 +326,8 @@ def _read_outcome(read, path):
     pairs=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(1, 9),
                              st.sampled_from("NA")), min_size=1, max_size=6),
     edits=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 2),
-                             st.sampled_from([" ", "  ", "\t", "\n", "\r", "\x0b", "\xa0", "N",
-                                              "A", "NA", "0", "9", "-", "+", ".", "_", "e",
+                             st.sampled_from([" ", "  ", "\t", "\n", "\r", "\x0b", "\xa0", "\x00",
+                                              "N", "A", "NA", "0", "9", "-", "+", ".", "_", "e",
                                               "\u0663", "#", "x"])),
                    max_size=3),
 )
