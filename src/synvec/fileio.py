@@ -34,8 +34,9 @@ def output(path: str | Path, mode: str, **open_kwargs):
 @contextmanager
 def open_text(path: str | Path, newline: str | None = None):
     """`path` opened to read as UTF-8 text. A byte that is not UTF-8 raises a
-    ParseError naming its line, found from the file's bytes only after the
-    decode has failed, so a well-formed file pays nothing."""
+    ParseError naming its line (ended by `\\n`, `\\r\\n` or `\\r`, as the
+    readers count them), found from the file's bytes only after the decode
+    has failed, so a well-formed file pays nothing."""
     try:
         with open(path, encoding="utf-8", newline=newline) as f:
             yield f
@@ -44,7 +45,9 @@ def open_text(path: str | Path, newline: str | None = None):
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as first:
-            raise ParseError(path, data.count(b"\n", 0, first.start) + 1, str(first)) from first
+            before = data[:first.start]
+            line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+            raise ParseError(path, line, str(first)) from first
         raise  # the file decodes: the error came from elsewhere in the block
 
 

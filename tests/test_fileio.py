@@ -191,14 +191,17 @@ def test_guard_sees_a_bypassing_reader(tmp_path):
         ("<module>", "rogue.py:5: open")]
 
 
-def test_byte_not_utf8_names_its_line(tmp_path):
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+def test_byte_not_utf8_names_its_line(tmp_path, end):
+    """The line is counted as the readers count it, whatever ends it."""
     path = tmp_path / "rows.tsv"
-    path.write_bytes(b"#x v1\nword\t2\nw\xc3rd\t3\n")
+    path.write_bytes(b"#x v1" + end + b"word\t2" + end + b"w\xc3rd\t3" + end)
+    offset = 12 + 2 * len(end)
     with pytest.raises(ParseError, match=r"rows.tsv:3: 'utf-8' codec can't decode byte 0xc3 "
-                                         r"in position 14") as err:
+                                         rf"in position {offset}") as err:
         with fileio.open_text(path) as f:
             list(f)
-    assert err.value.line == 3 and err.value.__cause__.start == 14
+    assert err.value.line == 3 and err.value.__cause__.start == offset
 
 
 def test_decode_error_from_elsewhere_passes_through(tmp_path):
