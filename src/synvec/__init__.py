@@ -23,7 +23,7 @@ from .eval_intrinsic import (
     similarity_correlation,
     spearman_rho,
 )
-from .lexicon import SynonymLexicon, is_candidate, load_lexicon, sample_synonym
+from .lexicon import SynonymLexicon, is_candidate, load_lexicon, sample_synonym, sample_synonyms
 from .pairgen import PairDataset, generate_pairs, keep_probability
 from .seeds import derive_seed, derived_rng
 from .sgns import (

@@ -17,7 +17,9 @@ import numpy as np
 from . import fileio
 from .corpus import Vocabulary
 from .errors import ParseError
-from .lexicon import SynonymLexicon, is_candidate, sample_synonym
+# is_candidate and sample_synonym go unused here, but perfbench/tracer.py wraps
+# them as augment's names, and tests/test_benchmark_contract.py checks they exist.
+from .lexicon import SynonymLexicon, is_candidate, sample_synonym, sample_synonyms
 from .pairgen import PairDataset
 from .seeds import derived_rng
 
@@ -53,22 +55,16 @@ def generate_augmented_pairs(
 
     Occurrences are recovered as consecutive runs of the same focus id
     (pair records carry no token index, so directly repeated words merge).
-    The draws go run by run in pair order; each run's synonym, or -1 for
-    none, is then repeated over the run's pairs, and the runs with one
-    make up the pool.
+    Each run draws as ``sample_synonym`` would, in pair order; its synonym,
+    or -1 for none, is then repeated over the run's pairs, and the runs with
+    one make up the pool.
     """
     if natural.n_augmented:
         raise ValueError("input to generate_augmented_pairs must be natural pairs only")
     vocab.check_ids(natural.focus, natural.context)
     focus = natural.focus
     starts = np.flatnonzero(np.diff(focus, prepend=focus[:1] - 1))
-    synonyms = np.full(len(starts), -1)
-    for run, focus_id in enumerate(focus[starts].tolist()):
-        word = vocab.words[focus_id]
-        if is_candidate(word, lexicon):
-            synonym = sample_synonym(word, lexicon, vocab, rng)
-            if synonym is not None:
-                synonyms[run] = synonym
+    synonyms = sample_synonyms(focus[starts], lexicon, vocab, rng)
     runs = np.diff(starts, append=len(focus))
     drawn = synonyms >= 0
     pooled = np.repeat(drawn, runs)
@@ -92,7 +88,8 @@ def mix(natural: PairDataset, augmented: PairDataset, plan: AugmentationPlan) ->
 
     The augmented pool is subsampled without replacement to exactly
     m = round(ratio * |natural| / (1 - ratio)) pairs and the result is
-    shuffled, all driven by the plan seed.
+    shuffled, all driven by the plan seed. Each column is gathered once from
+    the natural column followed by the chosen pool rows.
     """
     if len(natural) == 0:
         raise ValueError("natural pair set must be non-empty")
@@ -109,8 +106,9 @@ def mix(natural: PairDataset, augmented: PairDataset, plan: AugmentationPlan) ->
         )
     rng = derived_rng(plan.seed, "augment.mix")
     chosen = np.sort(rng.choice(len(augmented), size=m, replace=False))
-    combined = PairDataset.concat([natural, augmented.subset(chosen)])
-    return combined.subset(rng.permutation(len(combined)))
+    order = rng.permutation(len(natural) + m)
+    return PairDataset(*(np.concatenate([getattr(natural, k), getattr(augmented, k)[chosen]])[order]
+                         for k in PairDataset.__slots__))
 
 
 # --- substitution records file ------------------------------------------------

@@ -75,6 +75,10 @@ class Vocabulary:
             raise ValueError("vocabulary contains duplicate words")
         if len(self.counts) != len(self.words):
             raise ValueError("counts/words length mismatch")
+        low = np.flatnonzero(self.counts < 1)
+        if len(low):  # synonyms whose counts are all 0 would draw from NaN weights
+            raise ValueError(f"word {self.words[low[0]]!r} has count {self.counts[low[0]]}, "
+                             "below 1")
 
     def __len__(self) -> int:
         return len(self.words)
@@ -146,7 +150,10 @@ def read_vocab(path: str | Path) -> Vocabulary:
         if not min_count.isdecimal():
             raise ParseError(path, 1, "expected '#vocab v1 min_count=<n>' header")
         min_count = int(min_count)
-        words, counts = [], []
+        if min_count < 1:
+            raise ParseError(path, 1, f"min_count must be >= 1, got {min_count}")
+        lines: dict[str, int] = {}  # each word's line, in id order
+        counts = []
         for lineno, (word, count_str) in fileio.records(f, path, "<word>\t<count>", "\t"):
             try:
                 count = int(count_str)
@@ -154,11 +161,15 @@ def read_vocab(path: str | Path) -> Vocabulary:
                 raise ParseError(path, lineno, f"count is not an integer: {count_str!r}")
             if count < min_count:
                 raise ParseError(path, lineno, f"count {count} below min_count {min_count}")
-            words.append(word)
+            if word in lines:
+                raise ParseError(path, lineno, f"duplicate word {word!r} (first on line "
+                                 f"{lines[word]})")
+            lines[word] = lineno
             counts.append(count)
-    if not words:
+    if not lines:
         raise ParseError(path, 1, "vocabulary file contains no words")
-    return Vocabulary(words=words, counts=np.array(counts, dtype=np.int64), min_count=min_count)
+    return Vocabulary(words=list(lines), counts=np.array(counts, dtype=np.int64),
+                      min_count=min_count)
 
 
 def write_tokens(path: str | Path, corpus: TokenizedCorpus) -> None:

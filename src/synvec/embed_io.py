@@ -30,28 +30,30 @@ def write_text(path: str | Path, words: Sequence[str], matrix: np.ndarray) -> No
 def read_text(path: str | Path) -> tuple[list[str], np.ndarray]:
     with fileio.open_text(path) as f:
         count, dim = _parse_header(path, f.readline())
-        words: list[str] = []
-        linenos: list[int] = []
+        lines: dict[str, int] = {}  # each word's line, in row order
         rows = np.empty((count, dim), dtype=np.float64)
         lineno = 1
         for lineno, line in enumerate(f, start=2):
             if not line.strip():
                 continue
-            if len(words) == count:
+            if len(lines) == count:
                 raise ParseError(path, lineno, f"more than {count} rows")
             fields = line.split()
             if len(fields) != dim + 1:
                 raise ParseError(
                     path, lineno, f"expected a word and {dim} floats, got {len(fields)} fields"
                 )
+            if fields[0] in lines:
+                raise ParseError(path, lineno, f"duplicate word {fields[0]!r} (first on line "
+                                 f"{lines[fields[0]]})")
             try:
-                rows[len(words)] = np.array(fields[1:], dtype=np.float64)
+                rows[len(lines)] = np.array(fields[1:], dtype=np.float64)
             except ValueError:
                 raise ParseError(path, lineno, f"non-numeric vector component in {line!r}")
-            words.append(fields[0])
-            linenos.append(lineno)
-        if len(words) != count:
-            raise ParseError(path, lineno, f"header promised {count} rows, found {len(words)}")
+            lines[fields[0]] = lineno
+        if len(lines) != count:
+            raise ParseError(path, lineno, f"header promised {count} rows, found {len(lines)}")
+    words, linenos = list(lines), list(lines.values())
     bad = _first_non_finite_row(rows)
     if bad is not None:
         raise ParseError(path, linenos[bad], f"non-finite vector component for word {words[bad]!r}")

@@ -78,19 +78,54 @@ def is_candidate(word: str, lexicon: SynonymLexicon) -> bool:
     return bool(lexicon.entries.get(word))
 
 
+def _synonym_cdf(word: str, lexicon: SynonymLexicon,
+                 vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted in-vocabulary synonym ids of ``word`` and the cdf that
+    ``Generator.choice(ids, p=w / w.sum())`` builds over their counts w: a
+    uniform double u draws the id at the count of cdf entries ``<= u``.
+    Both are empty when no synonym is in the vocabulary."""
+    ids = np.array(sorted(vocab.word2id[s] for s in lexicon.synonyms(word)
+                          if s in vocab.word2id), dtype=np.int64)
+    weights = vocab.counts[ids].astype(np.float64)
+    cdf = (weights / weights.sum()).cumsum()
+    return ids, cdf / cdf[-1] if len(cdf) else cdf
+
+
 def sample_synonym(
     word: str, lexicon: SynonymLexicon, vocab: Vocabulary, rng: np.random.Generator
 ) -> int | None:
     """Draw an in-vocabulary synonym id of ``word``, weighted by corpus count.
 
-    Returns None when none of the word's synonyms are in the vocabulary.
+    Returns None when none of the word's synonyms are in the vocabulary. A
+    word with one such synonym draws nothing from ``rng``; one with more
+    draws one double.
     """
-    in_vocab = sorted(
-        vocab.word2id[s] for s in lexicon.synonyms(word) if s in vocab.word2id
-    )
-    if not in_vocab:
-        return None
-    if len(in_vocab) == 1:
-        return in_vocab[0]
-    weights = vocab.counts[in_vocab].astype(np.float64)
-    return int(rng.choice(in_vocab, p=weights / weights.sum()))
+    ids, cdf = _synonym_cdf(word, lexicon, vocab)
+    if len(ids) < 2:
+        return int(ids[0]) if len(ids) else None
+    return int(ids[np.count_nonzero(cdf <= rng.random())])
+
+
+def sample_synonyms(focus: np.ndarray, lexicon: SynonymLexicon, vocab: Vocabulary,
+                    rng: np.random.Generator) -> np.ndarray:
+    """``sample_synonym`` of each word id in ``focus``, in order, as an int64
+    array with -1 for None, leaving ``rng`` where those calls would.
+
+    The ids and cdfs of the words in ``focus`` form one table by word id,
+    padded with -1 and inf, which no draw reaches. One ``rng.random(m)``
+    call covers the m entries whose word has two or more synonyms: PCG64
+    yields the same doubles as m single calls.
+    """
+    vocab.check_ids(focus)
+    tables = {w: _synonym_cdf(vocab.words[w], lexicon, vocab) for w in np.unique(focus).tolist()}
+    # At least two columns, so that ids[w, 1] >= 0 marks a word that draws.
+    width = max([2, *(len(word_ids) for word_ids, _ in tables.values())])
+    ids = np.full((len(vocab), width), -1)
+    cdf = np.full(ids.shape, np.inf)
+    for w, (word_ids, word_cdf) in tables.items():
+        ids[w, :len(word_ids)], cdf[w, :len(word_cdf)] = word_ids, word_cdf
+    synonyms = ids[focus, 0]
+    drawn = np.flatnonzero(ids[focus, 1] >= 0)
+    u = rng.random(len(drawn))
+    synonyms[drawn] = ids[focus[drawn], np.count_nonzero(cdf[focus[drawn]] <= u[:, None], axis=1)]
+    return synonyms

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import warnings
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -49,18 +48,6 @@ class PairDataset:
     @classmethod
     def empty(cls) -> "PairDataset":
         return cls([], [], [], np.zeros(0, dtype=bool))
-
-    @classmethod
-    def concat(cls, parts: Iterable["PairDataset"]) -> "PairDataset":
-        parts = list(parts)
-        if not parts:
-            return cls.empty()
-        return cls(
-            np.concatenate([p.focus for p in parts]),
-            np.concatenate([p.context for p in parts]),
-            np.concatenate([p.position for p in parts]),
-            np.concatenate([p.augmented for p in parts]),
-        )
 
     def __len__(self) -> int:
         return len(self.focus)

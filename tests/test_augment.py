@@ -112,13 +112,8 @@ class TestGenerateAugmentedPairs:
     def test_context_and_position_inherited(self, gem_setup):
         vocab, lex = gem_setup
         rng = np.random.default_rng(11)
-        natural = PairDataset.concat(
-            [
-                natural_pairs(vocab, "a", ["of"]),
-                natural_pairs(vocab, "gem", ["a", "of"]),
-                natural_pairs(vocab, "of", ["gem"]),
-            ]
-        )
+        a, gem, of = vocab.id("a"), vocab.id("gem"), vocab.id("of")
+        natural = PairDataset([a, gem, gem, of], [of, a, of, gem], [1, 1, 2, 1], [False] * 4)
         augmented, subs = generate_augmented_pairs(natural, lex, vocab, rng)
         contexts = {(int(f), int(c), int(p)) for f, c, p in
                     zip(natural.focus, natural.context, natural.position)}

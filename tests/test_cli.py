@@ -431,7 +431,7 @@ class TestPipeline:
             assert run(argv + ["--out", first]) == 0
             manifest = f"{first}.manifest"
             assert run([argv[0], "--config", manifest, "--out", again]) == 0, name
-            assert "None" not in open(manifest).read()
+            assert "None" not in Path(manifest).read_text()
             assert again.read_bytes() == first.read_bytes(), name
         assert (d / "again_model2.txt.loss.csv").read_bytes() == \
                (d / "model2.txt.loss.csv").read_bytes()
@@ -577,6 +577,42 @@ class TestPipeline:
         assert run([command, *argv, "--out", d / "out.txt"]) == 1
         assert (f"synvec {command}: error: {d / bad}:{line}: 'utf-8' codec can't decode "
                 f"byte 0xff" in capsys.readouterr().err)
+        assert not list(d.glob("out.txt*"))
+
+    def test_zero_count_vocabulary_names_its_header(self, pipeline_dir, capsys):
+        """A vocabulary that admits count 0 is refused at its header line, before
+        a synonym draw can weigh by a zero count; augment exits 1, writing nothing."""
+        d = pipeline_dir
+        prepare(d, model=False)
+        rows = [line.split("\t") for line in (d / "vocab.tsv").read_text().splitlines()[1:]]
+        (d / "zero.tsv").write_text("#vocab v1 min_count=0\n" + "".join(
+            f"{word}\t{0 if word in ('jewel', 'stone') else count}\n" for word, count in rows))
+        (d / "two.tsv").write_text("#synlex v1\ngem\tnoun\tjewel\ngem\tnoun\tstone\n")
+        assert run(["augment", "--pairs", d / "pairs.txt", "--vocab", d / "zero.tsv",
+                    "--lexicon", d / "two.tsv", "--ratio", "0.25", "--out", d / "out.txt"]) == 1
+        assert (f"synvec augment: error: {d / 'zero.tsv'}:1: min_count must be >= 1, got 0"
+                in capsys.readouterr().err)
+        assert not list(d.glob("out.txt*"))
+
+    @pytest.mark.parametrize("command", ["gen-pairs", "eval-sim", "train"])
+    def test_duplicate_word_names_file_and_line(self, pipeline_dir, command, capsys):
+        """A vocabulary or a text model that repeats a word is named by file,
+        line and word, and the line of the first copy; the stage exits 1."""
+        d = pipeline_dir
+        prepare(d, model=False)
+        (d / "dup.tsv").write_text("#vocab v1 min_count=1\nfoo\t3\nbar\t2\nfoo\t1\n")
+        (d / "dup.txt").write_text("3 8\n" + "".join(f"{w}{' 0.5' * 8}\n"
+                                                      for w in ("foo", "bar", "foo")))
+        (d / "sim.tsv").write_text("foo\tbar\t1.0\n")
+        bad, argv = {
+            "gen-pairs": ("dup.tsv", ["--corpus", d / "tokens.txt", "--vocab", d / "dup.tsv"]),
+            "eval-sim": ("dup.txt", ["--model", d / "dup.txt", "--dataset", d / "sim.tsv"]),
+            "train": ("dup.txt", ["--pairs", d / "pairs.txt", "--vocab", d / "vocab.tsv",
+                                  "--dim", "8", "--pretrained-file", d / "dup.txt"]),
+        }[command]
+        assert run([command, *argv, "--out", d / "out.txt"]) == 1
+        assert (f"synvec {command}: error: {d / bad}:4: duplicate word 'foo' (first on line 2)"
+                in capsys.readouterr().err)
         assert not list(d.glob("out.txt*"))
 
 

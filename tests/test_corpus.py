@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from synvec.corpus import (
+    Vocabulary,
     build_vocabulary,
     encode,
     read_text_files,
@@ -101,6 +102,12 @@ class TestBuildVocabulary:
         with pytest.raises(ValueError):
             build_vocabulary([["a"]], min_count=0)
 
+    @pytest.mark.parametrize("counts", [[3, 0], [2, -1]])
+    def test_count_below_one_rejected(self, counts):
+        """Counts weight synonym draws: all-zero weights would make NaN odds."""
+        with pytest.raises(ValueError, match=f"word 'b' has count {counts[1]}, below 1"):
+            Vocabulary(words=["a", "b"], counts=counts, min_count=1)
+
     def test_counts_match_brute_force_recount(self):
         rng = np.random.default_rng(7)
         alphabet = [f"w{i}" for i in range(30)]
@@ -196,8 +203,15 @@ class TestVocabFile:
 
     def test_duplicate_word_rejected(self, tmp_path):
         path = tmp_path / "vocab.tsv"
-        path.write_text("#vocab v1 min_count=1\na\t3\na\t2\n")
-        with pytest.raises(ValueError, match="duplicate"):
+        path.write_text("#vocab v1 min_count=1\na\t3\nb\t3\na\t2\n")
+        with pytest.raises(ParseError,
+                           match=r"vocab.tsv:4: duplicate word 'a' \(first on line 2\)"):
+            read_vocab(path)
+
+    def test_min_count_below_one_rejected(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        path.write_text("#vocab v1 min_count=0\na\t3\nb\t0\n")
+        with pytest.raises(ParseError, match=r"vocab.tsv:1: min_count must be >= 1, got 0"):
             read_vocab(path)
 
     def test_hash_word_is_a_row_not_a_comment(self, tmp_path):

@@ -53,6 +53,13 @@ class TestTextFormat:
         with pytest.raises(ParseError, match="3 floats"):
             read_text(path)
 
+    def test_duplicate_word_reports_both_lines(self, tmp_path):
+        """A repeated word would otherwise shadow its first row in every lookup."""
+        path = tmp_path / "e.txt"
+        path.write_text("3 1\nfoo 1.0\n\nbar 2.0\nfoo 3.0\n")
+        with pytest.raises(ParseError, match=r"e.txt:5: duplicate word 'foo' \(first on line 2\)"):
+            read_text(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "e.txt"
         path.write_text("banana\n")

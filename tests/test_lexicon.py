@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from synvec.corpus import Vocabulary
 from synvec.errors import ParseError
 from synvec.lexicon import (
+    SynonymLexicon,
     is_candidate,
     load_lexicon,
     sample_synonym,
+    sample_synonyms,
     write_lexicon,
 )
 
@@ -134,3 +137,61 @@ class TestSampleSynonym:
         weights = np.array([vocab.counts[i] for i in ids], dtype=float)
         expected = n * weights / weights.sum()
         assert stats.chisquare(observed, expected).pvalue > 0.01
+
+
+def choice_draw(word, lexicon, vocab, rng):
+    """The draw through ``Generator.choice``: the sorted in-vocabulary synonym
+    ids weighted by count, None for none, and no draw for a single one."""
+    ids = sorted(vocab.id(s) for s in lexicon.synonyms(word) if s in vocab)
+    if len(ids) < 2:
+        return ids[0] if ids else None
+    weights = vocab.counts[ids].astype(np.float64)
+    return int(rng.choice(ids, p=weights / weights.sum()))
+
+
+DRAW_WORDS = ["w0", "w1", "w2", "w3", "w4", "w5"]
+
+
+@st.composite
+def draw_cases(draw):
+    """Counts from 1 to 10^6, a lexicon in which a word has 0, 1 or 2+
+    in-vocabulary synonyms, and a word sequence with repeats."""
+    counts = draw(st.lists(st.integers(1, 10**6), min_size=6, max_size=6))
+    vocab = make_vocab(dict(zip(DRAW_WORDS, counts)))
+    entries = {}
+    for word in DRAW_WORDS:
+        synonyms = draw(st.sets(st.sampled_from(DRAW_WORDS + ["oov"]), max_size=5)) - {word}
+        if synonyms:
+            entries[word] = {("noun", s) for s in synonyms}
+    words = draw(st.lists(st.sampled_from(DRAW_WORDS), max_size=40))
+    return SynonymLexicon(entries), vocab, words
+
+
+def planted_draw_case():
+    """w0 has no in-vocabulary synonym, w1 one, w2 two and w3 four, with
+    counts 1 and 10^6 side by side; words repeat."""
+    vocab = make_vocab({"w0": 7, "w1": 1, "w2": 10**6, "w3": 2, "w4": 999_999, "w5": 1})
+    lexicon = SynonymLexicon({
+        "w0": {("noun", "oov")}, "w1": {("noun", "w0")},
+        "w2": {("noun", "w1"), ("verb", "w5")},
+        "w3": {("noun", s) for s in ("w1", "w2", "w4", "w5", "oov")}})
+    return lexicon, vocab, ["w3", "w3", "w2", "w0", "w1", "w3", "w4", "w2", "w3"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=draw_cases(), seed=st.integers(0, 2**32))
+@example(case=planted_draw_case(), seed=0)
+@example(case=(SynonymLexicon({}), make_vocab({"w0": 1}), []), seed=0)
+def test_draws_follow_generator_choice(case, seed):
+    """sample_synonym word by word and sample_synonyms over the sequence
+    return what Generator.choice draws and leave the generator where it
+    leaves it, so a numpy release that changes choice fails here."""
+    lexicon, vocab, words = case
+    want_rng, one_rng, bulk_rng = (np.random.default_rng(seed) for _ in range(3))
+    want = [choice_draw(word, lexicon, vocab, want_rng) for word in words]
+    assert [sample_synonym(word, lexicon, vocab, one_rng) for word in words] == want
+    bulk = sample_synonyms(np.array([vocab.id(word) for word in words], dtype=np.int64),
+                           lexicon, vocab, bulk_rng)
+    assert bulk.dtype == np.int64
+    assert bulk.tolist() == [-1 if synonym is None else synonym for synonym in want]
+    assert one_rng.random() == bulk_rng.random() == want_rng.random()

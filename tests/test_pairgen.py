@@ -103,8 +103,9 @@ class TestGeneratePairs:
 
 def reference_generate_pairs(encoded, C, seed):
     """generate_pairs written sentence by sentence: every candidate offset in
-    both directions, sorted focus-major, one PairDataset per sentence."""
-    parts = []
+    both directions, sorted focus-major, each sentence's part of every column
+    joined column by column."""
+    focus, context, position = [], [], []
     for index, sentence in enumerate(encoded):
         ids = np.asarray(sentence, dtype=np.int64)
         n = len(ids)
@@ -122,9 +123,12 @@ def reference_generate_pairs(encoded, C, seed):
         offsets = np.abs(fi - ci)
         rng = pairgen.derived_rng(seed, "pairgen.sentence", index)
         keep = rng.random(len(fi)) < (C - offsets + 1) / C
-        parts.append(PairDataset(ids[fi[keep]], ids[ci[keep]], offsets[keep],
-                                 np.zeros(int(keep.sum()), dtype=bool)))
-    return PairDataset.concat(parts)
+        focus.append(ids[fi[keep]])
+        context.append(ids[ci[keep]])
+        position.append(offsets[keep])
+    focus, context, position = (np.concatenate([np.empty(0, dtype=np.int64), *column])
+                                for column in (focus, context, position))
+    return PairDataset(focus, context, position, np.zeros(len(focus), dtype=bool))
 
 
 def with_sentence_draws(generate, encoded, C, seed):
@@ -180,12 +184,10 @@ class TestPairDataset:
         assert ds.subset(~ds.augmented) == PairDataset([0, 2], [1, 0], [1, 2], [False, False])
         assert ds.subset(ds.augmented) == PairDataset([1], [2], [1], [True])
 
-    def test_concat_and_subset(self):
-        a = PairDataset([0], [1], [1], [False])
-        b = PairDataset([2], [3], [2], [True])
-        ds = PairDataset.concat([a, b])
+    def test_subset(self):
+        ds = PairDataset([0, 2], [1, 3], [1, 2], [False, True])
         assert len(ds) == 2
-        assert ds.subset([1]) == b
+        assert ds.subset([1]) == PairDataset([2], [3], [2], [True])
 
 
 class TestPairFile:
