@@ -7,7 +7,6 @@ from .corpus import Vocabulary, build_vocabulary, encode, tokenize
 from .eval_extrinsic import (
     NBowDocument,
     accuracy_ci,
-    ground_cost,
     knn_classify,
     nbow,
     rwmd,

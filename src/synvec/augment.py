@@ -16,7 +16,6 @@ import numpy as np
 
 from . import fileio
 from .corpus import Vocabulary
-from .errors import ParseError
 # is_candidate and sample_synonym go unused here, but perfbench/tracer.py wraps
 # them as augment's names, and tests/test_benchmark_contract.py checks they exist.
 from .lexicon import SynonymLexicon, is_candidate, sample_synonym, sample_synonyms
@@ -126,12 +125,8 @@ def write_substitutions(
 
 def read_substitutions(path: str | Path) -> np.ndarray:
     """The file's substitutions as an int64 array of [focus, synonym] rows."""
-    rows = []
     with fileio.open_text(path) as f:
         fileio.read_header(f, path, "subs")
-        for lineno, fields in fileio.records(f, path, "<focus>\t<synonym>", "\t"):
-            try:
-                rows.append((int(fields[0]), int(fields[1])))
-            except ValueError:
-                raise ParseError(path, lineno, f"non-integer id in {fields}")
-    return fileio.int64_array(rows, path).reshape(-1, 2)
+        rows = [[fileio.int64(field, path, lineno, "id") for field in fields]
+                for lineno, fields in fileio.records(f, path, "<focus>\t<synonym>", "\t")]
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)

@@ -152,24 +152,17 @@ def read_vocab(path: str | Path) -> Vocabulary:
         min_count = int(min_count)
         if min_count < 1:
             raise ParseError(path, 1, f"min_count must be >= 1, got {min_count}")
-        lines: dict[str, int] = {}  # each word's line, in id order
-        counts = []
-        for lineno, (word, count_str) in fileio.records(f, path, "<word>\t<count>", "\t"):
-            try:
-                count = int(count_str)
-            except ValueError:
-                raise ParseError(path, lineno, f"count is not an integer: {count_str!r}")
+        keyed, counts = [], []  # (line, word) and count of each row, in id order
+        for lineno, (word, field) in fileio.records(f, path, "<word>\t<count>", "\t"):
+            count = fileio.int64(field, path, lineno, "count")
             if count < min_count:
                 raise ParseError(path, lineno, f"count {count} below min_count {min_count}")
-            if word in lines:
-                raise ParseError(path, lineno, f"duplicate word {word!r} (first on line "
-                                 f"{lines[word]})")
-            lines[word] = lineno
+            keyed.append((lineno, word))
             counts.append(count)
-    if not lines:
+    if not keyed:
         raise ParseError(path, 1, "vocabulary file contains no words")
-    return Vocabulary(words=list(lines), counts=np.array(counts, dtype=np.int64),
-                      min_count=min_count)
+    return Vocabulary(words=list(fileio.first_lines(path, keyed)),
+                      counts=np.array(counts, dtype=np.int64), min_count=min_count)
 
 
 def write_tokens(path: str | Path, corpus: TokenizedCorpus) -> None:

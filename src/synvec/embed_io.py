@@ -7,6 +7,7 @@ bit-exactly at their own precision.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Sequence
 
@@ -29,35 +30,28 @@ def write_text(path: str | Path, words: Sequence[str], matrix: np.ndarray) -> No
 
 def read_text(path: str | Path) -> tuple[list[str], np.ndarray]:
     with fileio.open_text(path) as f:
-        count, dim = _parse_header(path, f.readline())
-        lines: dict[str, int] = {}  # each word's line, in row order
+        count, dim = _parse_header(path, f.readline(), os.fstat(f.fileno()).st_size, 2)
+        keyed: list[tuple[int, str]] = []  # each row's line and word
         rows = np.empty((count, dim), dtype=np.float64)
         lineno = 1
         for lineno, line in enumerate(f, start=2):
             if not line.strip():
                 continue
-            if len(lines) == count:
+            if len(keyed) == count:
                 raise ParseError(path, lineno, f"more than {count} rows")
             fields = line.split()
             if len(fields) != dim + 1:
                 raise ParseError(
                     path, lineno, f"expected a word and {dim} floats, got {len(fields)} fields"
                 )
-            if fields[0] in lines:
-                raise ParseError(path, lineno, f"duplicate word {fields[0]!r} (first on line "
-                                 f"{lines[fields[0]]})")
             try:
-                rows[len(lines)] = np.array(fields[1:], dtype=np.float64)
+                rows[len(keyed)] = np.array(fields[1:], dtype=np.float64)
             except ValueError:
                 raise ParseError(path, lineno, f"non-numeric vector component in {line!r}")
-            lines[fields[0]] = lineno
-        if len(lines) != count:
-            raise ParseError(path, lineno, f"header promised {count} rows, found {len(lines)}")
-    words, linenos = list(lines), list(lines.values())
-    bad = _first_non_finite_row(rows)
-    if bad is not None:
-        raise ParseError(path, linenos[bad], f"non-finite vector component for word {words[bad]!r}")
-    return words, rows
+            keyed.append((lineno, fields[0]))
+        if len(keyed) != count:
+            raise ParseError(path, lineno, f"header promised {count} rows, found {len(keyed)}")
+    return _checked_table(path, keyed, rows)
 
 
 def write_binary(path: str | Path, words: Sequence[str], matrix: np.ndarray) -> None:
@@ -76,32 +70,29 @@ def read_binary(path: str | Path) -> tuple[list[str], np.ndarray]:
     end = data.find(b"\n")
     if end == -1:
         raise ParseError(path, 1, "missing header line")
-    count, dim = _parse_header(path, data[:end].decode("ascii", errors="replace"))
-    words: list[str] = []
+    count, dim = _parse_header(path, data[:end].decode("ascii", errors="replace"), len(data), 4)
+    keyed: list[tuple[int, str]] = []  # each record's number and word
     rows = np.empty((count, dim), dtype="<f4")
     pos = end + 1
     vec_bytes = 4 * dim
-    for record in range(count):
+    for record in range(1, count + 1):
         while data[pos:pos + 1] == b"\n":
             pos += 1
         space = data.find(b" ", pos)
         if space == -1:
-            raise ParseError(path, record + 1, "truncated record (no word terminator)")
+            raise ParseError(path, record, "truncated record (no word terminator)")
         try:
             word = data[pos:space].decode("utf-8")
         except UnicodeDecodeError:
-            raise ParseError(path, record + 1, "word is not valid UTF-8")
+            raise ParseError(path, record, "word is not valid UTF-8")
         if len(data) < space + 1 + vec_bytes:
-            raise ParseError(path, record + 1, f"truncated vector for word {word!r}")
-        rows[record] = np.frombuffer(data, dtype="<f4", count=dim, offset=space + 1)
-        words.append(word)
+            raise ParseError(path, record, f"truncated vector for word {word!r}")
+        rows[record - 1] = np.frombuffer(data, dtype="<f4", count=dim, offset=space + 1)
+        keyed.append((record, word))
         pos = space + 1 + vec_bytes
     if data[pos:].strip(b" \r\n"):
         raise ParseError(path, count + 1, "unexpected trailing data after last record")
-    bad = _first_non_finite_row(rows)
-    if bad is not None:
-        raise ParseError(path, bad + 1, f"non-finite vector component for word {words[bad]!r}")
-    return words, rows
+    return _checked_table(path, keyed, rows)
 
 
 def crop(
@@ -131,20 +122,31 @@ def _check_rows(words: Sequence[str], matrix: np.ndarray) -> None:
             raise ValueError(f"word {word!r} cannot be serialized (whitespace or empty)")
 
 
-def _first_non_finite_row(rows: np.ndarray) -> int | None:
-    """Index of the first row holding a NaN or infinite component, if any."""
+def _checked_table(path, keyed: list[tuple[int, str]],
+                   rows: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The words and rows of a table whose words came as `(line, word)` pairs,
+    in row order. A repeated word, or a row with a NaN or infinite component,
+    raises a ParseError naming its line."""
+    words = list(fileio.first_lines(path, keyed))
     finite = np.isfinite(rows).all(axis=1)
-    return None if finite.all() else int(np.argmin(finite))
+    if not finite.all():
+        lineno, word = keyed[int(np.argmin(finite))]
+        raise ParseError(path, lineno, f"non-finite vector component for word {word!r}")
+    return words, rows
 
 
-def _parse_header(path, line: str) -> tuple[int, int]:
+def _parse_header(path, line: str, size: int, value_bytes: int) -> tuple[int, int]:
+    """The `<count> <dim>` of a header line. A table that could not fit in the
+    file's `size` bytes, each value taking `value_bytes` at least, raises a
+    ParseError before it is allocated."""
     fields = line.split()
     if len(fields) != 2:
         raise ParseError(path, 1, f"expected '<count> <dim>' header, got {line.strip()!r}")
-    try:
-        count, dim = int(fields[0]), int(fields[1])
-    except ValueError:
-        raise ParseError(path, 1, f"non-integer header fields in {line.strip()!r}")
+    count = fileio.int64(fields[0], path, 1, "header count")
+    dim = fileio.int64(fields[1], path, 1, "header dim")
     if count < 0 or dim < 1:
         raise ParseError(path, 1, f"invalid header values count={count} dim={dim}")
+    if count * dim * value_bytes > size:
+        raise ParseError(path, 1, f"header promises {count} rows of {dim} values, more than "
+                         f"the file's {size} bytes can hold")
     return count, dim

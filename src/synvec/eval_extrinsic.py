@@ -65,12 +65,6 @@ def nbow(tokens: Sequence[str], vocab: Vocabulary, label: str | None = None,
     return NBowDocument(ids=ids, weights=weights / weights.sum(), label=label, doc_id=doc_id)
 
 
-def ground_cost(model: EmbeddingModel, i: int, j: int) -> float:
-    """Euclidean distance between the input embeddings of words i and j."""
-    diff = model.input[i] - model.input[j]
-    return float(np.sqrt(diff @ diff))
-
-
 def _pairwise_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of a and the rows of b.
 

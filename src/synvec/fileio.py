@@ -1,12 +1,11 @@
-"""The file layer: atomic output files, UTF-8 text inputs and the `#<tag> v1` line formats."""
+"""The file layer: atomic output files, UTF-8 text inputs, the `#<tag> v1` line formats
+and the field checks every reader shares."""
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
 from pathlib import Path
-
-import numpy as np
 
 from .errors import ParseError
 
@@ -79,24 +78,25 @@ def records(f, path: str | Path, layout: str, sep: str | None = None, start: int
             raise ParseError(path, lineno, f"expected {layout!r}, got {line.strip()!r}")
 
 
-def int64_array(values, path: str | Path) -> np.ndarray:
-    """`values`, integers parsed from the lines of `path` after its header, as
-    an int64 array. One outside int64 raises a ParseError naming its line,
-    found by reading the file again, so a well-formed file pays nothing."""
+def int64(field: str, path: str | Path, lineno: int, what: str) -> int:
+    """`field`, the `what` field of line `lineno`, as an integer. One that does
+    not parse, or lies outside int64, raises a ParseError naming the line."""
     try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        with open_text(path) as f:
-            f.readline()
-            for lineno, line in enumerate(f, start=2):
-                big = [field for field in line.split() if _outside_int64(field)]
-                if big:
-                    raise ParseError(path, lineno, f"id {big[0]} does not fit in int64") from None
-        raise
+        value = int(field)
+    except ValueError:
+        raise ParseError(path, lineno, f"non-integer {what} field {field!r}") from None
+    if not -2**63 <= value < 2**63:
+        raise ParseError(path, lineno, f"{what} {field} does not fit in int64")
+    return value
 
 
-def _outside_int64(field: str) -> bool:
-    try:
-        return not -2**63 <= int(field) < 2**63
-    except ValueError:  # not an integer field, such as a pair file's origin flag
-        return False
+def first_lines(path: str | Path, keyed) -> dict[str, int]:
+    """`{word: line}` from `(line, word)` pairs, in their order. A word given
+    twice raises a ParseError naming both its lines."""
+    lines: dict[str, int] = {}
+    for lineno, word in keyed:
+        if word in lines:
+            raise ParseError(path, lineno, f"duplicate word {word!r} (first on line "
+                             f"{lines[word]})")
+        lines[word] = lineno
+    return lines

@@ -174,14 +174,10 @@ def _read_pair_lines(path: str | Path) -> tuple:
         f.readline()
         focus, context, position, augmented = [], [], [], []
         for lineno, fields in fileio.records(f, path, "<focus> <context> <position> <origin>"):
-            try:
-                focus.append(int(fields[0]))
-                context.append(int(fields[1]))
-                position.append(int(fields[2]))
-            except ValueError:
-                raise ParseError(path, lineno, f"non-integer id field in {fields}")
+            focus.append(fileio.int64(fields[0], path, lineno, "id"))
+            context.append(fileio.int64(fields[1], path, lineno, "id"))
+            position.append(fileio.int64(fields[2], path, lineno, "id"))
             if fields[3] not in (ORIGIN_NATURAL, ORIGIN_AUGMENTED):
                 raise ParseError(path, lineno, f"unknown origin flag {fields[3]!r}")
             augmented.append(fields[3] == ORIGIN_AUGMENTED)
-    return (*fileio.int64_array([focus, context, position], path),
-            np.array(augmented, dtype=bool))
+    return focus, context, position, np.array(augmented, dtype=bool)

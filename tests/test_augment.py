@@ -278,7 +278,8 @@ def test_substitutions_file_roundtrip(tmp_path):
     assert path.read_text().splitlines()[1:] == ["3\t9", "1\t4", "3\t9"]
 
 
-@pytest.mark.parametrize("big", ["99999999999999999999", "-9223372036854775809"])
+@pytest.mark.parametrize("big", ["99999999999999999999", "-9223372036854775809",
+                                 "9223372036854775808"])
 def test_substitution_past_int64_names_its_line(tmp_path, big):
     path = tmp_path / "subs.tsv"
     path.write_text(f"#subs v1\n3\t9\n\n{big}\t4\n")

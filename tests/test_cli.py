@@ -544,6 +544,18 @@ class TestPipeline:
                 in capsys.readouterr().err)
         assert not list(d.glob("out.txt*"))
 
+    def test_count_past_int64_exits_one(self, pipeline_dir, capsys):
+        """A vocabulary count too long for int64 is named by file and line."""
+        d = pipeline_dir
+        prepare(d, model=False)
+        big = "99999999999999999999"
+        (d / "big.tsv").write_text(f"#vocab v1 min_count=1\nfoo\t{big}\n")
+        assert run(["gen-pairs", "--corpus", d / "tokens.txt", "--vocab", d / "big.tsv",
+                    "--out", d / "out.txt"]) == 1
+        assert (f"synvec gen-pairs: error: {d / 'big.tsv'}:2: count {big} does not fit in int64"
+                in capsys.readouterr().err)
+        assert not list(d.glob("out.txt*"))
+
     @pytest.mark.parametrize("command", ["tokenize", "build-vocab", "train", "augment",
                                          "gen-pairs", "eval-wmd"])
     def test_byte_not_utf8_names_file_and_line(self, pipeline_dir, command, capsys):

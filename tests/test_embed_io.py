@@ -66,6 +66,18 @@ class TestTextFormat:
         with pytest.raises(ParseError, match="header"):
             read_text(path)
 
+    @pytest.mark.parametrize("header, message", [
+        ("1000000000 1000000000", "header promises 1000000000 rows of 1000000000 values, more "
+                                  "than the file's 26 bytes can hold"),
+        ("99999999999999999999 3", "header count 99999999999999999999 does not fit in int64"),
+    ], ids=["past-file-size", "past-int64"])
+    def test_header_the_file_cannot_hold_is_refused(self, tmp_path, header, message):
+        """Refused at line 1, before the table is allocated."""
+        path = tmp_path / "e.txt"
+        path.write_text(f"{header}\na 1\n")
+        with pytest.raises(ParseError, match=rf"e.txt:1: {message}$"):
+            read_text(path)
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity", "1e400"])
     def test_non_finite_component_reports_line(self, tmp_path, bad):
         path = tmp_path / "e.txt"
@@ -155,6 +167,25 @@ class TestBinaryFormat:
         with pytest.raises(ParseError, match="UTF-8"):
             read_binary(path)
 
+    def test_duplicate_word_reports_both_records(self, tmp_path):
+        """A repeated word would otherwise shadow its first row in every lookup."""
+        path = tmp_path / "e.bin"
+        write_binary(path, ["foo", "bar", "foo"], np.arange(6, dtype="<f4").reshape(3, 2))
+        with pytest.raises(ParseError, match=r"e.bin:3: duplicate word 'foo' \(first on line 1\)"):
+            read_binary(path)
+
+    @pytest.mark.parametrize("header, message", [
+        (b"1000000000 1000000000", "header promises 1000000000 rows of 1000000000 values, "
+                                   "more than the file's 32 bytes can hold"),
+        (b"3 2", "header promises 3 rows of 2 values, more than the file's 14 bytes can hold"),
+        (b"99999999999999999999 3", "header count 99999999999999999999 does not fit in int64"),
+    ], ids=["past-file-size", "past-file-size-small", "past-int64"])
+    def test_header_the_file_cannot_hold_is_refused(self, tmp_path, header, message):
+        """Refused at record 1, before the table is allocated."""
+        path = tmp_path / "e.bin"
+        path.write_bytes(header + b"\na " + struct.pack("<2f", 0.5, 1.5))
+        with pytest.raises(ParseError, match=rf"e.bin:1: {message}$"):
+            read_binary(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_component_reports_record(self, tmp_path, bad):

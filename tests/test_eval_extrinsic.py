@@ -15,7 +15,6 @@ from synvec.eval_extrinsic import (
     _cost_matrix,
     _k_nearest,
     accuracy_ci,
-    ground_cost,
     knn_classify,
     load_classification_corpus,
     nbow,
@@ -126,15 +125,19 @@ class TestNBow:
 class TestGroundCost:
     def test_same_word_zero(self):
         model = model_from_matrix(np.random.default_rng(0).normal(size=(4, 3)))
-        assert ground_cost(model, 2, 2) == 0.0
+        doc = NBowDocument(ids=[2], weights=[1.0])
+        assert _cost_matrix(model, doc, doc).tolist() == [[0.0]]
 
     def test_three_four_five(self):
         model = model_from_matrix([[0.0, 0.0], [3.0, 4.0]])
-        assert ground_cost(model, 0, 1) == pytest.approx(5.0)
+        d1, d2 = NBowDocument(ids=[0], weights=[1.0]), NBowDocument(ids=[1], weights=[1.0])
+        assert _cost_matrix(model, d1, d2).tolist() == [[np.linalg.norm([3.0, 4.0])]]
 
     def test_symmetric(self):
         model = model_from_matrix(np.random.default_rng(1).normal(size=(5, 4)))
-        assert ground_cost(model, 1, 3) == ground_cost(model, 3, 1)
+        d1 = NBowDocument(ids=[1, 4], weights=[0.5, 0.5])
+        d2 = NBowDocument(ids=[0, 2, 3], weights=np.full(3, 1 / 3))
+        assert _cost_matrix(model, d1, d2).tobytes() == _cost_matrix(model, d2, d1).T.tobytes()
 
     def test_cost_matrix_bitwise_equals_row_formula(self):
         rng = np.random.default_rng(2)
@@ -161,7 +164,7 @@ class TestWMD:
         d1 = NBowDocument(ids=[0], weights=[1.0])
         d2 = NBowDocument(ids=[5], weights=[1.0])
         dist, flow = wmd(model, d1, d2)
-        assert dist == pytest.approx(ground_cost(model, 0, 5))
+        assert dist == pytest.approx(np.linalg.norm(model.input[0] - model.input[5]))
         assert flow.tolist() == [[pytest.approx(1.0)]]
 
     def test_matches_lp_oracle_on_random_instances(self):
@@ -171,7 +174,7 @@ class TestWMD:
             d1 = random_doc(rng, 12)
             d2 = random_doc(rng, 12)
             dist, _ = wmd(model, d1, d2)
-            cost = np.array([[ground_cost(model, i, j) for j in d2.ids] for i in d1.ids])
+            cost = np.linalg.norm(model.input[d1.ids][:, None] - model.input[d2.ids], axis=-1)
             assert dist == pytest.approx(lp_transport_cost(d1.weights, d2.weights, cost),
                                          abs=1e-6)
 

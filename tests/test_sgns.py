@@ -10,7 +10,8 @@ from scipy import stats
 
 from synvec import sgns
 from synvec.corpus import build_vocabulary
-from synvec.embed_io import write_text
+from synvec.embed_io import write_binary, write_text
+from synvec.errors import ParseError
 from synvec.eval_intrinsic import cosine_distance
 from synvec.pairgen import PairDataset, generate_pairs
 from synvec.seeds import derive_seed, derived_rng
@@ -97,6 +98,14 @@ class TestInitPretrained:
         vocab, _, _, path = setup
         with pytest.raises(ValueError, match="dim"):
             init_pretrained(vocab, path, dim=7, seed=0)
+
+    def test_repeated_binary_word_refused(self, setup, tmp_path):
+        """The last copy of a word must not silently win its row."""
+        path = tmp_path / "dup.bin"
+        write_binary(path, ["king", "queen", "king"], np.ones((3, 4), dtype="<f4"))
+        with pytest.raises(ParseError,
+                           match=r"dup.bin:3: duplicate word 'king' \(first on line 1\)"):
+            init_pretrained(setup[0], path, dim=4, seed=0, binary=True)
 
     def test_unreadable_file(self, setup, tmp_path):
         vocab = setup[0]
