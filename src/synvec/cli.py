@@ -33,15 +33,6 @@ class UsageError(Exception):
     """A parameter is missing, malformed or inconsistent (exit status 2)."""
 
 
-def boolean(raw: str) -> bool:
-    """Config-file spelling of a boolean; on the command line `--x/--no-x`."""
-    if raw.lower() in ("1", "true", "yes", "on"):
-        return True
-    if raw.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"cannot interpret {raw!r} as a boolean")
-
-
 def pair_set_sizes(raw: str) -> int | tuple[int, int, int]:
     """`--size`: one positive pair count for all sets, or syn,ctx,rand."""
     sizes = tuple(int(s) for s in raw.split(","))
@@ -124,8 +115,9 @@ def command(name: str, help: str, *params: Param):
 
 def read_config(path: str | Path) -> dict[str, str]:
     """Parse `key = value` lines. A line whose first non-blank character is
-    `#` is a comment; a `#` anywhere else belongs to the value."""
-    values: dict[str, str] = {}
+    `#` is a comment; a `#` anywhere else belongs to the value. A key given
+    twice raises a ParseError naming both its lines."""
+    entries: list[tuple[int, str, str]] = []  # each line's number, key and value
     with fileio.open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -134,8 +126,9 @@ def read_config(path: str | Path) -> dict[str, str]:
             key, sep, value = line.partition("=")
             if not sep or not key.strip():
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            values[key.strip()] = value.strip()
-    return values
+            entries.append((lineno, key.strip(), value.strip()))
+    fileio.first_lines(path, ((lineno, key) for lineno, key, _ in entries), "key")
+    return {key: value for _, key, value in entries}
 
 
 def write_manifest(out_path: str | Path, command: str, params: dict) -> Path:
@@ -182,7 +175,9 @@ OUT = Param("out", str, REQUIRED, "output file; the manifest goes to <out>.manif
 
 @command("tokenize", "split raw text into sentences of word tokens", INPUTS, OUT)
 def cmd_tokenize(p):
-    sentences = corpus.tokenize(corpus.read_text_files(p.inputs))
+    # One file at a time, so that a file's last sentence ends with the file.
+    sentences = [sentence for path in p.inputs
+                 for sentence in corpus.tokenize(corpus.read_text_files([path]))]
     corpus.write_tokens(p.out, sentences)
     print(f"tokenize: {len(sentences)} sentences, "
           f"{sum(len(s) for s in sentences)} tokens -> {p.out}")
@@ -260,8 +255,8 @@ def cmd_augment(p):
          Param("lr", float, sgns.TrainConfig.learning_rate, "SGD learning rate"),
          Param("batch", int, sgns.TrainConfig.batch_size, "pairs per gradient step"),
          SEED,
-         Param("pretrained_file", str, None, "vectors to start from; a random start if unset"),
-         Param("binary", boolean, False, "--pretrained-file is word2vec binary"),
+         Param("pretrained_file", str, None, "vectors to start from, word2vec binary if "
+               "named *.bin, text otherwise; a random start if unset"),
          Param("noise_exponent", float, sgns.TrainConfig.noise_exponent,
                "power of the counts in the noise distribution"),
          Param("checkpoint_every", int, 0, "write <out>.epochN snapshots every N epochs"),
@@ -278,10 +273,7 @@ def cmd_train(p):
     dataset, _meta = pairgen.read_pairs(p.pairs)
     initial = None
     if p.pretrained_file:
-        initial, coverage = sgns.init_pretrained(
-            vocab, p.pretrained_file, config.dim,
-            derive_seed(config.seed, "sgns.init"), binary=p.binary,
-        )
+        initial, coverage = sgns.init_pretrained(vocab, p.pretrained_file, config)
         print(f"train: pretrained coverage {coverage:.1%}")
 
     def checkpoint(epoch, model, mean_loss):
@@ -369,8 +361,8 @@ def cmd_eval_wmd(p):
           f"-> {p.out}")
 
 
-@command("report", "merge evaluation CSVs into one summary",
-         INPUTS, Param("json", boolean, False, "write JSON, not CSV"), OUT)
+@command("report", "merge evaluation CSVs into one summary, JSON if --out is *.json",
+         INPUTS, OUT)
 def cmd_report(p):
     rows = []
     for path in p.inputs:
@@ -387,7 +379,7 @@ def cmd_report(p):
                                      f"a header of {len(header)}")
                 else:
                     rows.append({"source": path, **dict(zip(header, record))})
-    if p.json:
+    if Path(p.out).suffix == ".json":
         with fileio.output(p.out, "w", encoding="utf-8") as f:
             json.dump(rows, f, indent=2)
     else:
@@ -432,12 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(row.name, nargs="*", help=text)
                 continue
             flags = [f"--{row.name.replace('_', '-')}"] + ([row.alias] if row.alias else [])
-            if row.type is boolean:
-                p.add_argument(*flags, dest=row.name, default=None, help=text,
-                               action=argparse.BooleanOptionalAction)
-            else:
-                p.add_argument(*flags, dest=row.name, default=None, help=text,
-                               type=_flag_type(row.type), choices=row.choices or None)
+            p.add_argument(*flags, dest=row.name, default=None, help=text,
+                           type=_flag_type(row.type), choices=row.choices or None)
     return parser
 
 

@@ -161,7 +161,7 @@ def read_vocab(path: str | Path) -> Vocabulary:
             counts.append(count)
     if not keyed:
         raise ParseError(path, 1, "vocabulary file contains no words")
-    return Vocabulary(words=list(fileio.first_lines(path, keyed)),
+    return Vocabulary(words=list(fileio.first_lines(path, keyed, "word")),
                       counts=np.array(counts, dtype=np.int64), min_count=min_count)
 
 

@@ -127,7 +127,7 @@ def _checked_table(path, keyed: list[tuple[int, str]],
     """The words and rows of a table whose words came as `(line, word)` pairs,
     in row order. A repeated word, or a row with a NaN or infinite component,
     raises a ParseError naming its line."""
-    words = list(fileio.first_lines(path, keyed))
+    words = list(fileio.first_lines(path, keyed, "word"))
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         lineno, word = keyed[int(np.argmin(finite))]

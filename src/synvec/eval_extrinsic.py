@@ -250,15 +250,16 @@ class ClassificationCorpus:
 
 
 def read_split_manifest(path: str | Path) -> dict[str, str]:
-    """Parse `<class>/<doc>\\t<train|test>` lines."""
-    assignment = {}
+    """Parse `<class>/<doc>\\t<train|test>` lines; a document listed twice
+    raises a ParseError naming both its lines."""
+    layout = "<class>/<doc>\t<train|test>"
     with fileio.open_text(path) as f:
-        layout = "<class>/<doc>\t<train|test>"
-        for lineno, (doc, part) in fileio.records(f, path, layout, "\t", start=1, comments=True):
-            if part not in ("train", "test"):
-                raise ParseError(path, lineno, f"expected {layout!r}, got {part!r}")
-            assignment[doc] = part
-    return assignment
+        rows = list(fileio.records(f, path, layout, "\t", start=1, comments=True))
+    for lineno, (_, part) in rows:
+        if part not in ("train", "test"):
+            raise ParseError(path, lineno, f"expected {layout!r}, got {part!r}")
+    fileio.first_lines(path, ((lineno, doc) for lineno, (doc, _) in rows), "document")
+    return {doc: part for _, (doc, part) in rows}
 
 
 def load_classification_corpus(

@@ -90,13 +90,13 @@ def int64(field: str, path: str | Path, lineno: int, what: str) -> int:
     return value
 
 
-def first_lines(path: str | Path, keyed) -> dict[str, int]:
+def first_lines(path: str | Path, keyed, what: str) -> dict[str, int]:
     """`{word: line}` from `(line, word)` pairs, in their order. A word given
-    twice raises a ParseError naming both its lines."""
+    twice raises a ParseError naming the `what` and both its lines."""
     lines: dict[str, int] = {}
     for lineno, word in keyed:
         if word in lines:
-            raise ParseError(path, lineno, f"duplicate word {word!r} (first on line "
+            raise ParseError(path, lineno, f"duplicate {what} {word!r} (first on line "
                              f"{lines[word]})")
         lines[word] = lineno
     return lines

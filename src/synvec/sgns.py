@@ -123,34 +123,29 @@ def init_random(vocab_size: int, dim: int, seed: int) -> EmbeddingModel:
 
 
 def init_pretrained(
-    vocab: Vocabulary,
-    embedding_file: str | Path,
-    dim: int,
-    seed: int,
-    binary: bool = False,
+    vocab: Vocabulary, embedding_file: str | Path, config: TrainConfig
 ) -> tuple[EmbeddingModel, float]:
     """Copy pretrained input rows where available; randomize the rest.
 
-    Vocabulary words found in the file get their input row copied verbatim;
-    missing words fall back to the random-init scheme. Output rows are
-    always drawn from the same uniform scheme (the pretrained output unit
-    is assumed unavailable). Returns the model and the fraction of the
-    vocabulary covered by the file.
+    A file named ``*.bin`` is read as word2vec binary, any other as text.
+    Vocabulary words found in the file (``embed_io.crop``) get their input
+    row copied verbatim; the other input rows are those ``init_random``
+    draws from the ``"sgns.init"`` stream of ``config.seed``. Output rows
+    follow from the same stream and scheme (the pretrained output unit is
+    assumed unavailable). Returns the model and the fraction of the
+    vocabulary covered by the file. A file that shares no word with the
+    vocabulary raises ValueError.
     """
-    words, matrix = (embed_io.read_binary if binary else embed_io.read_text)(embedding_file)
+    read = embed_io.read_binary if Path(embedding_file).suffix == ".bin" else embed_io.read_text
+    words, matrix = embed_io.crop(*read(embedding_file), vocab)
+    dim = config.dim
     if matrix.shape[1] != dim:
         raise ValueError(f"embedding file has dim {matrix.shape[1]}, expected {dim}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(derive_seed(config.seed, "sgns.init"))
     inp = (rng.random((len(vocab), dim)) - 0.5) / dim
     out = (rng.random((len(vocab), dim)) - 0.5) / dim
-    row_of = {w: i for i, w in enumerate(words)}
-    found = 0
-    for wid, word in enumerate(vocab.words):
-        row = row_of.get(word)
-        if row is not None:
-            inp[wid] = matrix[row].astype(np.float64)
-            found += 1
-    return EmbeddingModel(input=inp, output=out), found / len(vocab)
+    inp[[vocab.id(w) for w in words]] = matrix
+    return EmbeddingModel(input=inp, output=out), len(words) / len(vocab)
 
 
 def noise_distribution(vocab: Vocabulary, alpha: float = 0.75) -> NoiseDistribution:

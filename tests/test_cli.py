@@ -1,3 +1,4 @@
+import importlib
 import json
 import re
 import shlex
@@ -9,7 +10,7 @@ import pytest
 from synvec import cli
 from synvec.cli import main, read_config
 from synvec.corpus import read_vocab
-from synvec.embed_io import read_text, write_text
+from synvec.embed_io import read_text, write_binary, write_text
 from synvec.pairgen import read_pairs
 
 
@@ -168,6 +169,40 @@ class TestPipeline:
         assert "coverage" in capsys.readouterr().out
         assert (d / "model_pre.txt").exists()
 
+    def test_train_reads_a_bin_pretrained_file_as_binary(self, pipeline_dir):
+        """The name selects the format; at learning rate 0 the start is the model."""
+        d = pipeline_dir
+        prepare(d, model=False)
+        row = np.linspace(-0.3, 0.4, 8)
+        write_binary(d / "pre.bin", ["gem", "the"], np.stack([row, -row]))
+        assert run(["train", "--pairs", d / "pairs.txt", "--vocab", d / "vocab.tsv",
+                    "--dim", "8", "--lr", "0", "--pretrained-file", d / "pre.bin",
+                    "--out", d / "model.txt"]) == 0
+        words, matrix = read_text(d / "model.txt")
+        assert np.array_equal(matrix[words.index("gem")], row.astype("<f4"))
+        assert "binary" not in (d / "model.txt.manifest").read_text()
+
+    def test_pretrained_file_sharing_no_word_exits_one(self, pipeline_dir, capsys):
+        d = pipeline_dir
+        prepare(d, model=False)
+        (d / "other.txt").write_text("1 8\nzebra" + " 0.5" * 8 + "\n")
+        assert run(["train", "--pairs", d / "pairs.txt", "--vocab", d / "vocab.tsv",
+                    "--dim", "8", "--pretrained-file", d / "other.txt",
+                    "--out", d / "model.txt"]) == 1
+        assert ("synvec train: error: embedding file and vocabulary share no words"
+                in capsys.readouterr().err)
+        assert not list(d.glob("model.txt*"))
+
+    def test_tokenize_ends_a_sentence_with_its_file(self, tmp_path, capsys):
+        """Contexts must not run from one file's last words into the next file."""
+        (tmp_path / "f1.txt").write_text("first file ends without a stop")
+        (tmp_path / "f2.txt").write_text("second file starts here.")
+        assert run(["tokenize", tmp_path / "f1.txt", tmp_path / "f2.txt",
+                    "--out", tmp_path / "tokens.txt"]) == 0
+        assert "2 sentences, 10 tokens" in capsys.readouterr().out
+        assert (tmp_path / "tokens.txt").read_text().splitlines() == [
+            "first file ends without a stop", "second file starts here"]
+
     def test_train_checkpoints(self, pipeline_dir):
         d = pipeline_dir
         run(["tokenize", d / "raw.txt", "--out", d / "tokens.txt"])
@@ -239,6 +274,18 @@ class TestPipeline:
                          "boats/d2.txt,boats,boats", "gems/d2.txt,gems,gems", "",
                          "accuracy,half_width,n", "1.0,0.0,2"]
 
+    def test_eval_wmd_split_listing_a_document_twice_exits_one(self, pipeline_dir, capsys):
+        d = pipeline_dir
+        prepare(d)
+        (d / "docs" / "a").mkdir(parents=True)
+        (d / "docs" / "a" / "d1").write_text("gem jewel stone gem.")
+        (d / "split.tsv").write_text("a/d1\ttrain\nb/d1\ttrain\n\na/d1\ttest\n")
+        assert run(["eval-wmd", "--model", d / "model.txt", "--docs", d / "docs",
+                    "--split", d / "split.tsv", "--out", d / "wmd.csv"]) == 1
+        assert (f"synvec eval-wmd: error: {d / 'split.tsv'}:4: duplicate document 'a/d1' "
+                "(first on line 1)") in capsys.readouterr().err
+        assert not list(d.glob("wmd.csv*"))
+
     def test_eval_wmd_split_without_test_documents(self, pipeline_dir, capsys):
         d = pipeline_dir
         prepare(d)
@@ -264,11 +311,13 @@ class TestPipeline:
         assert "1 docs (0 skipped, 1 unassigned)" in capsys.readouterr().out
 
     def test_old_config_keys_are_ignored(self, pipeline_dir, capsys):
-        """Configs written before `mode`, `prune`, `init`, `dataset_format`,
-        `name` and `loss_csv` were removed still run: the split file alone
-        selects split mode, the pretrained file alone selects the pretrained
-        start, the loss file is always `<out>.loss.csv`, the dataset's header
-        selects its layout and the file stem names it."""
+        """Configs written before `mode`, `prune`, `init`, `binary`,
+        `dataset_format`, `name`, `loss_csv` and `json` were removed still
+        run: the split file alone selects split mode, the pretrained file
+        alone selects the pretrained start and its name the format, the loss
+        file is always `<out>.loss.csv`, the dataset's header selects its
+        layout and the file stem names it, and `--out` names the report's
+        format."""
         d = pipeline_dir
         prepare(d)
         docs = d / "docs4"
@@ -291,7 +340,7 @@ class TestPipeline:
         pretrained.write_text("1 8\ngem " + " ".join(["0.25"] * 8) + "\n")
         config.write_text(f"pairs = {d / 'pairs.txt'}\nvocab = {d / 'vocab.tsv'}\ndim = 8\n"
                           f"epochs = 1\ninit = random\npretrained_file = {pretrained}\n"
-                          f"loss_csv = {d / 'x'}\n")
+                          f"binary = true\nloss_csv = {d / 'x'}\n")
         capsys.readouterr()
         assert run(["train", "--config", config, "--out", d / "model_pre.txt"]) == 0
         assert "pretrained coverage" in capsys.readouterr().out
@@ -308,9 +357,14 @@ class TestPipeline:
         assert (d / "sim_config.csv").read_bytes() == (d / "sim_flags.csv").read_bytes()
         assert (d / "sim_config.csv").read_text().splitlines()[1].startswith("sim,3,")
 
+        config.write_text("json = true\n")
+        assert run(["report", "--config", config, d / "sim_flags.csv",
+                    "--out", d / "report.csv"]) == 0
+        assert (d / "report.csv").read_text().startswith("source,dataset,pairs_used,rho\n")
+
     def test_report_reads_eval_wmd_tables(self, pipeline_dir):
         """A doc id holding a comma is quoted, and the accuracy table after the
-        blank line gets its own header."""
+        blank line gets its own header. An `--out` named *.json is JSON."""
         d = pipeline_dir
         prepare(d)
         docs = d / "docs5"
@@ -320,7 +374,7 @@ class TestPipeline:
                 (docs / klass / name).write_text(text)
         assert run(["eval-wmd", "--model", d / "model.txt", "--docs", docs, "--k", "1",
                     "--out", d / "wmd.csv"]) == 0
-        assert run(["report", d / "wmd.csv", "--json", "--out", d / "report.json"]) == 0
+        assert run(["report", d / "wmd.csv", "--out", d / "report.json"]) == 0
         rows = json.loads((d / "report.json").read_text())
         assert [(r["doc_id"], r["true_label"]) for r in rows[:4]] == [
             ("boats/d,2.txt", "boats"), ("boats/d1.txt", "boats"),
@@ -457,6 +511,16 @@ class TestPipeline:
         config = tmp_path / "c.cfg"
         config.write_text("  # only = a comment line\nkey = a#b # c\n")
         assert read_config(config) == {"key": "a#b # c"}
+
+    def test_config_key_given_twice_exits_one(self, tmp_path, capsys):
+        """The second `seed` must not silently win."""
+        (tmp_path / "tokens.txt").write_text("a b c\n")
+        config = tmp_path / "c.cfg"
+        config.write_text(f"seed = 1\nseed = 2\ncorpus = {tmp_path / 'tokens.txt'}\n")
+        assert run(["build-vocab", "--config", config, "--out", tmp_path / "v.tsv"]) == 1
+        assert (f"synvec build-vocab: error: {config}:2: duplicate key 'seed' (first on line 1)"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.glob("v.tsv*"))
 
     def test_ratio_sweep_out_of_reach_writes_nothing(self, pipeline_dir, capsys):
         d = pipeline_dir
@@ -675,7 +739,6 @@ class TestExitCodes:
     def test_derived_flag_spellings(self, capsys):
         for name, flags in [("gen-pairs", ["--context-size", "-C", "(default: 5)"]),
                             ("augment", ["--ratio", "--out"]),
-                            ("train", ["--binary", "--no-binary"]),
                             ("eval-sim", ["{cosine,euclidean}"])]:
             with pytest.raises(SystemExit):
                 main([name, "--help"])
@@ -684,7 +747,6 @@ class TestExitCodes:
                 assert flag in out
 
     @pytest.mark.parametrize("command,line", [("eval-sim", "metric = bogus"),
-                                              ("train", "binary = maybe"),
                                               ("eval-pairsets", "size = abc"),
                                               ("eval-pairsets", "size = 1,2"),
                                               ("augment", "ratio = 0.1,x")])
@@ -781,6 +843,9 @@ class TestExitCodes:
          "--out", "o"],
         ["augment", "--pairs", "p", "--vocab", "v", "--lexicon", "l", "--ratio", "0",
          "--out-dir", "o", "--out", "o"],
+        ["train", "--pairs", "p", "--vocab", "v", "--pretrained-file", "x.bin", "--binary",
+         "--out", "o"],
+        ["report", "a.csv", "--json", "--out", "o.json"],
     ])
     def test_removed_flags_are_usage_errors(self, argv, capsys):
         # Without full spelling, `--mode` would be taken for `--model`.
@@ -791,8 +856,8 @@ class TestExitCodes:
 
     def test_option_budget(self):
         total = sum(len(cmd.params) for cmd in cli.COMMANDS.values())
-        assert total == 49, (
-            f"the CLI now has {total} settable values, not 49; if that is intended, "
+        assert total == 47, (
+            f"the CLI now has {total} settable values, not 47; if that is intended, "
             "update this number and say in CHANGES.md why the option is needed")
 
     def test_every_command_requires_out(self):
@@ -824,3 +889,17 @@ def test_readme_examples_parse():
             parser.parse_args(words)
         except SystemExit:
             pytest.fail(f"README example does not parse: synvec {shlex.join(words)}")
+
+
+def test_console_script_is_cli_main(capsys):
+    """README's examples call `synvec`, the script pyproject.toml declares."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["synvec"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert entry is cli.main
+    with pytest.raises(SystemExit) as exc:
+        entry(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("synvec ")

@@ -62,6 +62,8 @@ class TestInitRandom:
 
 
 class TestInitPretrained:
+    CONFIG = TrainConfig(dim=4, seed=0)
+
     @pytest.fixture
     def setup(self, tmp_path):
         vocab = make_vocab({"king": 9, "queen": 7, "pawn": 3})
@@ -74,30 +76,39 @@ class TestInitPretrained:
 
     def test_found_rows_copied_exactly(self, setup):
         vocab, file_words, file_matrix, path = setup
-        model, coverage = init_pretrained(vocab, path, dim=4, seed=0)
+        model, coverage = init_pretrained(vocab, path, self.CONFIG)
         assert np.array_equal(model.input[vocab.id("king")], file_matrix[1])
         assert np.array_equal(model.input[vocab.id("queen")], file_matrix[0])
 
     def test_missing_word_falls_back_to_uniform_support(self, setup):
         vocab, _, _, path = setup
-        model, _ = init_pretrained(vocab, path, dim=4, seed=0)
+        model, _ = init_pretrained(vocab, path, self.CONFIG)
         assert np.abs(model.input[vocab.id("pawn")]).max() <= 0.5 / 4
+
+    def test_missing_rows_are_init_randoms(self, setup):
+        """The start draws from the stream `train` gives `init_random`."""
+        vocab, _, _, path = setup
+        config = TrainConfig(dim=4, seed=derive_seed(13, "sgns"))
+        model, _ = init_pretrained(vocab, path, config)
+        random = init_random(len(vocab), 4, derive_seed(config.seed, "sgns.init"))
+        pawn = vocab.id("pawn")
+        assert np.array_equal(model.input[pawn], random.input[pawn])
 
     def test_output_randomized_not_zero(self, setup):
         vocab, _, _, path = setup
-        model, _ = init_pretrained(vocab, path, dim=4, seed=0)
+        model, _ = init_pretrained(vocab, path, self.CONFIG)
         assert model.output.any()
         assert np.abs(model.output).max() <= 0.5 / 4
 
     def test_coverage_fraction(self, setup):
         vocab, _, _, path = setup
-        _, coverage = init_pretrained(vocab, path, dim=4, seed=0)
+        _, coverage = init_pretrained(vocab, path, self.CONFIG)
         assert coverage == pytest.approx(2 / 3)
 
     def test_dimension_mismatch_rejected(self, setup):
         vocab, _, _, path = setup
         with pytest.raises(ValueError, match="dim"):
-            init_pretrained(vocab, path, dim=7, seed=0)
+            init_pretrained(vocab, path, TrainConfig(dim=7, seed=0))
 
     def test_repeated_binary_word_refused(self, setup, tmp_path):
         """The last copy of a word must not silently win its row."""
@@ -105,12 +116,12 @@ class TestInitPretrained:
         write_binary(path, ["king", "queen", "king"], np.ones((3, 4), dtype="<f4"))
         with pytest.raises(ParseError,
                            match=r"dup.bin:3: duplicate word 'king' \(first on line 1\)"):
-            init_pretrained(setup[0], path, dim=4, seed=0, binary=True)
+            init_pretrained(setup[0], path, self.CONFIG)
 
     def test_unreadable_file(self, setup, tmp_path):
         vocab = setup[0]
         with pytest.raises(OSError):
-            init_pretrained(vocab, tmp_path / "missing.txt", dim=4, seed=0)
+            init_pretrained(vocab, tmp_path / "missing.txt", self.CONFIG)
 
 
 class TestNoiseDistribution:
