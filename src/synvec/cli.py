@@ -2,12 +2,13 @@
 
 Each subcommand declares its parameters once, as `Param` rows in its
 `@command` table. The table drives everything else: the argparse flags,
-the layered lookup (flag, then a `key = value` config file, then the
-default), the coercion of config strings, the usage errors (exit 2) for a
-missing value or one outside its choices, and the manifest written next to
-the primary output. Feeding a manifest back in as ``--config`` reproduces
-the run. All randomness flows from the single ``seed`` value through named
-sub-seeds.
+which only collect strings; the layered lookup (flag, then a `key = value`
+config file, then the default); the parsing of a flag or config string
+into its value, and the usage errors (exit 2) for a missing value, one
+that does not parse or one outside its choices, worded alike for both
+sources; and the manifest written next to the primary output. Feeding a
+manifest back in as ``--config`` reproduces the run. All randomness flows
+from the single ``seed`` value through named sub-seeds.
 """
 
 from __future__ import annotations
@@ -65,9 +66,9 @@ REQUIRED = object()  # default of a parameter the run cannot do without
 class Param:
     """One parameter: config and manifest key `name`, flag `--name-with-dashes`.
 
-    ``type`` turns a config string into the value; a ``file_list`` parameter is
-    the positional argument list. A default of None means unset, and unset
-    parameters are left out of the manifest.
+    ``type`` turns a flag or config string into the value; argparse already
+    splits the positional list of a ``file_list`` parameter. A default of
+    None means unset, and unset parameters are left out of the manifest.
     """
 
     name: str
@@ -77,21 +78,27 @@ class Param:
     choices: tuple = ()
     alias: str | None = None
 
+    @property
+    def flag(self) -> str:
+        return f"--{self.name.replace('_', '-')}"
+
     def resolve(self, flag_value, config: dict[str, str]):
-        """Flag, then config, then default."""
-        value = None if flag_value == [] else flag_value  # empty nargs="*" is absent
-        if value is None and self.name in config:
-            try:
-                value = self.type(config[self.name])
-            except ValueError as exc:
-                raise UsageError(f"config value {self.name} = {config[self.name]!r}: {exc}")
-        if value is None:
-            value = self.default
-        if value is REQUIRED:
+        """Flag, then config, then default. Either source's string is parsed by
+        ``type`` and checked against ``choices``, and refused in one form."""
+        if flag_value is not None and flag_value != []:  # empty nargs="*" is absent
+            source, raw = f"argument {self.flag}", flag_value
+        elif self.name in config:
+            source, raw = f"config value {self.name} =", config[self.name]
+        elif self.default is REQUIRED:
             raise UsageError(f"missing required parameter '{self.name}' (flag or config)")
+        else:
+            return self.default
+        try:
+            value = raw if isinstance(raw, list) else self.type(raw)
+        except ValueError as exc:
+            raise UsageError(f"{source} {raw!r}: {exc}") from None
         if self.choices and value not in self.choices:
-            raise UsageError(f"{self.name} must be one of {', '.join(self.choices)}, "
-                             f"got {value!r}")
+            raise UsageError(f"{source} {raw!r}: must be one of {', '.join(self.choices)}")
         return value
 
 
@@ -131,10 +138,9 @@ def read_config(path: str | Path) -> dict[str, str]:
     return {key: value for _, key, value in entries}
 
 
-def write_manifest(out_path: str | Path, command: str, params: dict) -> Path:
+def write_manifest(out_path: str | Path, command: str, params: dict) -> None:
     """Record the resolved parameters of a run next to its primary output."""
-    manifest = Path(str(out_path) + ".manifest")
-    with fileio.output(manifest, "w", encoding="utf-8") as f:
+    with fileio.output(f"{out_path}.manifest", "w", encoding="utf-8") as f:
         f.write(f"# synvec {__version__} run manifest\n")
         f.write(f"command = {command}\n")
         for key in sorted(params):
@@ -144,7 +150,6 @@ def write_manifest(out_path: str | Path, command: str, params: dict) -> Path:
             elif isinstance(value, tuple):  # numbers, comma-separated as on the flag
                 value = ",".join(map(str, value))
             f.write(f"{key} = {value}\n")
-    return manifest
 
 
 def _write_csv(path: str | Path, rows: list) -> None:
@@ -175,9 +180,7 @@ OUT = Param("out", str, REQUIRED, "output file; the manifest goes to <out>.manif
 
 @command("tokenize", "split raw text into sentences of word tokens", INPUTS, OUT)
 def cmd_tokenize(p):
-    # One file at a time, so that a file's last sentence ends with the file.
-    sentences = [sentence for path in p.inputs
-                 for sentence in corpus.tokenize(corpus.read_text_files([path]))]
+    sentences = corpus.tokenize(corpus.read_text_files(p.inputs))
     corpus.write_tokens(p.out, sentences)
     print(f"tokenize: {len(sentences)} sentences, "
           f"{sum(len(s) for s in sentences)} tokens -> {p.out}")
@@ -391,17 +394,6 @@ def cmd_report(p):
 # --- parser ---------------------------------------------------------------------
 
 
-def _flag_type(convert: Callable[[str], Any]) -> Callable[[str], Any]:
-    """`convert` for argparse, which prints an ArgumentTypeError's message but
-    drops a ValueError's, so that a refused flag value says why."""
-    def parse(raw: str):
-        try:
-            return convert(raw)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-    return parse
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="synvec",
@@ -413,6 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         # Flags must be spelled in full, so an unknown flag that is a prefix
         # of a real one (`--mode` of `--model`) is a usage error, not an alias.
         p = sub.add_parser(name, help=cmd.help, allow_abbrev=False)
+        p.set_defaults(usage_error=p.error)  # a refused value shows this command's usage
         p.add_argument("--config", help="key = value file supplying defaults")
         for row in cmd.params:
             text = row.help
@@ -423,9 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
             if row.type is file_list:
                 p.add_argument(row.name, nargs="*", help=text)
                 continue
-            flags = [f"--{row.name.replace('_', '-')}"] + ([row.alias] if row.alias else [])
-            p.add_argument(*flags, dest=row.name, default=None, help=text,
-                           type=_flag_type(row.type), choices=row.choices or None)
+            flags = [row.flag, row.alias] if row.alias else [row.flag]
+            p.add_argument(*flags, dest=row.name, help=text,
+                           metavar="{" + ",".join(row.choices) + "}" if row.choices else None)
     return parser
 
 
@@ -444,7 +437,7 @@ def main(argv=None) -> int:
         write_manifest(params["out"], args.command,
                        {k: v for k, v in params.items() if v is not None})
     except UsageError as exc:
-        parser.error(f"{args.command}: {exc}")
+        args.usage_error(str(exc))
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"synvec {args.command}: error: {exc}", file=sys.stderr)
         return 1

@@ -44,7 +44,8 @@ def tokenize(text: str) -> TokenizedCorpus:
 
 
 def read_text_files(paths: Sequence[str | Path]) -> str:
-    """Read and concatenate UTF-8 text files in the given order.
+    """Read and concatenate UTF-8 text files in the given order, joined by a
+    full stop and a newline so that each file's last sentence ends with it.
 
     A byte that is not UTF-8 raises a ParseError naming its file and line.
     """
@@ -52,7 +53,7 @@ def read_text_files(paths: Sequence[str | Path]) -> str:
     for path in paths:
         with fileio.open_text(path, newline="") as f:
             parts.append(f.read())
-    return "\n".join(parts)
+    return ".\n".join(parts)
 
 
 @dataclass

@@ -133,17 +133,21 @@ def init_pretrained(
     draws from the ``"sgns.init"`` stream of ``config.seed``. Output rows
     follow from the same stream and scheme (the pretrained output unit is
     assumed unavailable). Returns the model and the fraction of the
-    vocabulary covered by the file. A file that shares no word with the
-    vocabulary raises ValueError.
+    vocabulary covered by the file. A file of another dim, or one that shares
+    no word with the vocabulary, raises a ValueError naming the file.
     """
     read = embed_io.read_binary if Path(embedding_file).suffix == ".bin" else embed_io.read_text
-    words, matrix = embed_io.crop(*read(embedding_file), vocab)
-    dim = config.dim
-    if matrix.shape[1] != dim:
-        raise ValueError(f"embedding file has dim {matrix.shape[1]}, expected {dim}")
+    words, matrix = read(embedding_file)
+    if matrix.shape[1] != config.dim:
+        raise ValueError(f"{embedding_file}: embedding file has dim {matrix.shape[1]}, "
+                         f"expected {config.dim}")
+    try:
+        words, matrix = embed_io.crop(words, matrix, vocab)
+    except ValueError as exc:
+        raise ValueError(f"{embedding_file}: {exc}") from exc
     rng = np.random.default_rng(derive_seed(config.seed, "sgns.init"))
-    inp = (rng.random((len(vocab), dim)) - 0.5) / dim
-    out = (rng.random((len(vocab), dim)) - 0.5) / dim
+    inp = (rng.random((len(vocab), config.dim)) - 0.5) / config.dim
+    out = (rng.random((len(vocab), config.dim)) - 0.5) / config.dim
     inp[[vocab.id(w) for w in words]] = matrix
     return EmbeddingModel(input=inp, output=out), len(words) / len(vocab)
 

@@ -189,8 +189,19 @@ class TestPipeline:
         assert run(["train", "--pairs", d / "pairs.txt", "--vocab", d / "vocab.tsv",
                     "--dim", "8", "--pretrained-file", d / "other.txt",
                     "--out", d / "model.txt"]) == 1
-        assert ("synvec train: error: embedding file and vocabulary share no words"
-                in capsys.readouterr().err)
+        assert (f"synvec train: error: {d / 'other.txt'}: embedding file and vocabulary "
+                "share no words" in capsys.readouterr().err)
+        assert not list(d.glob("model.txt*"))
+
+    def test_pretrained_file_of_another_dim_exits_one(self, pipeline_dir, capsys):
+        d = pipeline_dir
+        prepare(d, model=False)
+        (d / "small.txt").write_text("1 4\ngem" + " 0.5" * 4 + "\n")
+        assert run(["train", "--pairs", d / "pairs.txt", "--vocab", d / "vocab.tsv",
+                    "--dim", "8", "--pretrained-file", d / "small.txt",
+                    "--out", d / "model.txt"]) == 1
+        assert (f"synvec train: error: {d / 'small.txt'}: embedding file has dim 4, "
+                "expected 8" in capsys.readouterr().err)
         assert not list(d.glob("model.txt*"))
 
     def test_tokenize_ends_a_sentence_with_its_file(self, tmp_path, capsys):
@@ -692,6 +703,13 @@ class TestPipeline:
         assert not list(d.glob("out.txt*"))
 
 
+# The required flags of each command but the one under test, and no other
+# command's flag: an unrecognized flag is refused before any value is parsed.
+OWN_FLAGS = {"eval-pairsets": ["--model", "m", "--pairs", "p", "--subs", "s", "--vocab", "v",
+                               "--out", "o"],
+             "augment": ["--pairs", "p", "--vocab", "v", "--lexicon", "l", "--out", "o"]}
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -739,7 +757,7 @@ class TestExitCodes:
     def test_derived_flag_spellings(self, capsys):
         for name, flags in [("gen-pairs", ["--context-size", "-C", "(default: 5)"]),
                             ("augment", ["--ratio", "--out"]),
-                            ("eval-sim", ["{cosine,euclidean}"])]:
+                            ("eval-sim", ["--metric {cosine,euclidean}"])]:
             with pytest.raises(SystemExit):
                 main([name, "--help"])
             out = capsys.readouterr().out
@@ -759,6 +777,26 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert line.split(" = ")[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("metric", "bogus"), ("size", "abc"),
+                                           ("size", "1,2"), ("ratio", "0.1,x")])
+    def test_flag_and_config_value_are_refused_alike(self, tmp_path, key, value, capsys):
+        """A manifest fed back as --config must be parsed as its flags would be."""
+        command = {"metric": "eval-sim", "size": "eval-pairsets", "ratio": "augment"}[key]
+        base = "model = m\ndataset = s\npairs = p\nvocab = v\nsubs = s\nlexicon = l\nout = o\n"
+        (tmp_path / "flag.cfg").write_text(base)
+        (tmp_path / "value.cfg").write_text(base + f"{key} = {value}\n")
+        reasons = []
+        for config, extra, source in [
+                ("flag.cfg", [f"--{key}", value], f"argument --{key} {value!r}: "),
+                ("value.cfg", [], f"config value {key} = {value!r}: ")]:
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", str(tmp_path / config), *extra])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"synvec {command}: error: {source}" in err
+            reasons.append(err.split(source, 1)[1])
+        assert reasons[0].strip() and reasons[0] == reasons[1]
+
     @pytest.mark.parametrize("argv", [
         ["eval-pairsets", "--size", "abc"],
         ["eval-pairsets", "--size", "1,2"],
@@ -771,8 +809,7 @@ class TestExitCodes:
     ])
     def test_value_that_does_not_parse_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--model", "m", "--pairs", "p", "--subs", "s", "--vocab", "v",
-                         "--lexicon", "l", "--out", "o"])
+            main(argv + OWN_FLAGS[argv[0]])
         assert exc.value.code == 2
         assert f"argument {argv[1]}" in capsys.readouterr().err
 
@@ -782,8 +819,7 @@ class TestExitCodes:
     ])
     def test_refused_flag_value_says_why(self, argv, reason, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--model", "m", "--pairs", "p", "--subs", "s", "--vocab", "v",
-                         "--lexicon", "l", "--out", "o"])
+            main(argv + OWN_FLAGS[argv[0]])
         assert exc.value.code == 2
         assert reason in capsys.readouterr().err
 

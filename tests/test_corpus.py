@@ -69,6 +69,14 @@ class TestReadTextFiles:
         text = read_text_files([tmp_path / "a.txt", tmp_path / "b.txt"])
         assert tokenize(text) == [["one"], ["two"]]
 
+    def test_a_file_ends_its_last_sentence(self, tmp_path):
+        """Contexts must not run from one file's last words into the next file."""
+        (tmp_path / "f1.txt").write_text("first file ends without a stop")
+        (tmp_path / "f2.txt").write_text("second file starts here.")
+        text = read_text_files([tmp_path / "f1.txt", tmp_path / "f2.txt"])
+        assert tokenize(text) == [["first", "file", "ends", "without", "a", "stop"],
+                                  ["second", "file", "starts", "here"]]
+
     def test_invalid_utf8_reports_byte_offset(self, tmp_path):
         """The ParseError names the file among several, and the line."""
         (tmp_path / "ok.txt").write_text("one.\ntwo.\n")
