@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from collections import Counter
 from pathlib import Path
@@ -93,6 +94,10 @@ def lattice_tie_instances():
 # Per instance of each set above, the solver's total as float.hex() and a
 # SHA-256 of its flow's bytes.
 SOLVER_BITS = Path(__file__).with_name("solver_bits.json")
+
+# Both paths of the solver: solve_transport runs the C loop, which
+# test_transport.py checks has loaded, and _solve_reference the Python one.
+SOLVERS = (solve_transport, transport._solve_reference)
 
 
 class TestNBow:
@@ -203,20 +208,19 @@ class TestWMD:
             assert d13 <= d12 + d23 + 1e-8
 
     def test_solver_error_surfaces(self):
-        with pytest.raises(TransportSolverError):
-            solve_transport(
-                np.array([0.5, 0.5]), np.array([0.5, 0.5]),
-                np.array([[1.0, 2.0], [3.0, 4.0]]), max_iterations=0,
-            )
         # This instance needs 2 pivots from the least-cost start, and so 3
-        # passes with the final optimality check; caps 1 and 2 stop short.
+        # passes with the final optimality check; caps 0, 1 and 2 stop short.
         cost = np.random.default_rng(40).random((5, 5))
         masses = np.full(5, 0.2)
-        for cap in (1, 2):
+        for solve in SOLVERS:
             with pytest.raises(TransportSolverError):
-                solve_transport(masses, masses, cost, max_iterations=cap)
-        _, total = solve_transport(masses, masses, cost)
-        assert total == pytest.approx(lp_transport_cost(masses, masses, cost), abs=1e-9)
+                solve(np.array([0.5, 0.5]), np.array([0.5, 0.5]),
+                      np.array([[1.0, 2.0], [3.0, 4.0]]), max_iterations=0)
+            for cap in (0, 1, 2):
+                with pytest.raises(TransportSolverError, match=f"after {cap} iterations"):
+                    solve(masses, masses, cost, max_iterations=cap)
+            _, total = solve(masses, masses, cost, max_iterations=3)
+            assert total == pytest.approx(lp_transport_cost(masses, masses, cost), abs=1e-9)
 
     def test_solver_input_validation(self):
         good = np.array([0.5, 0.5])
@@ -272,19 +276,21 @@ class TestWMD:
     def test_solver_bits_are_pinned(self, instances):
         # A change to the start, the entering or leaving rule, or the order
         # of any sum shows here, and must re-record the file and say why.
-        def fingerprint(supply, demand, cost):
-            flow, total = solve_transport(supply, demand, cost)
+        def fingerprint(solve, supply, demand, cost):
+            flow, total = solve(supply, demand, cost)
             return [total.hex(), hashlib.sha256(flow.tobytes()).hexdigest()]
 
         recorded = json.loads(SOLVER_BITS.read_text())[instances.__name__]
-        assert [fingerprint(*problem) for problem in instances()] == recorded
+        for solve in SOLVERS:
+            got = [fingerprint(solve, *problem) for problem in instances()]
+            assert got == recorded, solve.__name__
 
     def test_solver_keeps_tree_strongly_feasible(self, monkeypatch):
         # Every zero-flow basic cell must hang a row from its column, which
         # points it towards the root, or the leaving rule no longer rules
         # out cycling. Lattice costs with uniform masses make many such
-        # cells. The solver's own lists are checked after the start and
-        # before every pivot.
+        # cells. The Python solver's own lists are checked after the start
+        # and before every pivot; the C loop keeps the same tree.
         start, paths = transport._least_cost_start, transport._paths_to_common_ancestor
         tree, checks = [], []
 
@@ -293,8 +299,8 @@ class TestWMD:
             return (len(placed) == len(parent) - 1
                     and all(up_flow[x] > 0 or x < m for x in placed))
 
-        def checked_start(supply, demand, cost):
-            result = start(supply, demand, cost)
+        def checked_start(supply, *args):
+            result = start(supply, *args)
             tree[:] = [result[0], result[1], len(supply)]
             checks.append(strongly_feasible(*tree))
             return result
@@ -311,7 +317,7 @@ class TestWMD:
             pts = rng.integers(0, 3, size=(m, 2)).astype(float)
             qts = rng.integers(0, 3, size=(n, 2)).astype(float)
             cost = np.sqrt(((pts[:, None] - qts[None]) ** 2).sum(-1))
-            solve_transport(np.full(m, 1.0 / m), np.full(n, 1.0 / n), cost)
+            transport._solve_reference(np.full(m, 1.0 / m), np.full(n, 1.0 / n), cost)
         assert len(checks) > 50 and all(checks)
 
     def test_solver_masses_balanced_within_tolerance(self):
@@ -325,8 +331,8 @@ class TestWMD:
             (np.array([0.5, 0.5, 5e-10]), half, base.T),
             (half, np.array([0.5, 0.5, 3e-10, 3e-10]), base[:, [0, 1, 2, 2]]),
         ]
-        for supply, demand, cost in cases:
-            flow, total = solve_transport(supply, demand, cost)
+        for (supply, demand, cost), solve in itertools.product(cases, SOLVERS):
+            flow, total = solve(supply, demand, cost)
             m, n = cost.shape
             assert total == 0.0
             assert (flow >= 0).all()
@@ -342,8 +348,8 @@ class TestWMD:
     def test_solver_returns_basic_feasible_flow(self):
         # A spanning-tree basis has m + n - 1 cells, so a correct pivot
         # sequence never leaves more positive cells than that.
-        for supply, demand, cost in transport_instances():
-            flow, _ = solve_transport(supply, demand, cost)
+        for (supply, demand, cost), solve in itertools.product(transport_instances(), SOLVERS):
+            flow, _ = solve(supply, demand, cost)
             m, n = cost.shape
             assert flow.shape == (m, n)
             assert (flow >= 0).all()
@@ -353,11 +359,11 @@ class TestWMD:
 
 
 @st.composite
-def lattice_problems(draw):
-    """m x n problems, 1 <= m, n <= 12, with Euclidean costs between points
-    of a 3 x 3 lattice (many ties, many degenerate pivots) and random
+def lattice_problems(draw, max_size=12):
+    """m x n problems, 1 <= m, n <= max_size, with Euclidean costs between
+    points of a 3 x 3 lattice (many ties, many degenerate pivots) and random
     positive masses."""
-    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    m, n = draw(st.integers(1, max_size)), draw(st.integers(1, max_size))
     point = st.tuples(st.integers(0, 2), st.integers(0, 2))
     pts = np.array(draw(st.lists(point, min_size=m, max_size=m)), dtype=float)
     qts = np.array(draw(st.lists(point, min_size=n, max_size=n)), dtype=float)
@@ -373,12 +379,14 @@ def lattice_problems(draw):
 def test_solver_is_an_lp_optimal_basic_flow(problem):
     supply, demand, cost = problem
     m, n = cost.shape
-    flow, total = solve_transport(supply, demand, cost)
-    assert total == pytest.approx(lp_transport_cost(supply, demand, cost), abs=1e-9)
-    assert (flow >= 0).all()
-    assert np.count_nonzero(flow) <= m + n - 1
-    assert np.abs(flow.sum(axis=1) - supply).max() <= 1e-12
-    assert np.abs(flow.sum(axis=0) - demand).max() <= 1e-12
+    optimum = lp_transport_cost(supply, demand, cost)
+    for solve in SOLVERS:
+        flow, total = solve(supply, demand, cost)
+        assert total == pytest.approx(optimum, abs=1e-9)
+        assert (flow >= 0).all()
+        assert np.count_nonzero(flow) <= m + n - 1
+        assert np.abs(flow.sum(axis=1) - supply).max() <= 1e-12
+        assert np.abs(flow.sum(axis=0) - demand).max() <= 1e-12
 
 
 class TestLowerBounds:
