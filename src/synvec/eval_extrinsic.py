@@ -2,10 +2,10 @@
 
 Documents are normalized bag-of-words mass distributions; the distance
 between two documents is the exact minimum-cost transport between their
-masses with Euclidean embedding distance as the ground cost. Two cheap
-lower bounds (centroid distance and the relaxed one-constraint problem)
-let the classifier skip most exact computations without changing any
-prediction.
+masses with Euclidean embedding distance as the ground cost. One cheap
+lower bound, the relaxed one-constraint problem (rwmd), both orders the
+classifier's search and stops it, which skips most exact computations
+without changing any prediction.
 """
 
 from __future__ import annotations
@@ -151,9 +151,9 @@ def _k_nearest(model, test_doc, train_docs, k, prune, skip_index=None):
     """Indices and distances of the k training docs nearest to test_doc.
 
     Returned sorted by (distance, index). With ``prune`` the candidates are
-    visited by (wcd, index), and once k are held a candidate whose rwmd
-    lower bound exceeds the k-th distance is skipped without an exact
-    solve, so the result matches exhaustive search exactly. The ground
+    visited by (rwmd, index); once k are held, the first whose rwmd lower
+    bound exceeds the k-th distance ends the search, as every later one's
+    does too, so the result matches exhaustive search exactly. The ground
     costs from test_doc to every candidate word are built once, as one
     (len(test_doc.ids), len(cols)) block, and sliced per candidate.
     """
@@ -161,14 +161,17 @@ def _k_nearest(model, test_doc, train_docs, k, prune, skip_index=None):
     k = min(k, len(candidates))
     cols = np.unique(np.concatenate([train_docs[i].ids for i in candidates]))
     block = _pairwise_cost(model.input[test_doc.ids], model.input[cols])
+    visits = [(-math.inf, i) for i in candidates]  # exhaustive: no bound stops it
     if prune:
-        candidates.sort(key=lambda i: (wcd(model, test_doc, train_docs[i]), i))
+        visits = sorted((rwmd(model, test_doc, train_docs[i],
+                              cost=block[:, np.searchsorted(cols, train_docs[i].ids)]), i)
+                        for i in candidates)
     best: list[tuple[float, int]] = []
-    for i in candidates:
+    for bound, i in visits:
+        if len(best) == k and bound > best[-1][0]:
+            break
         doc = train_docs[i]
         cost = block[:, np.searchsorted(cols, doc.ids)]
-        if prune and len(best) == k and rwmd(model, test_doc, doc, cost=cost) > best[-1][0]:
-            continue
         best.append((wmd(model, test_doc, doc, cost=cost)[0], i))
         best.sort()
         del best[k:]

@@ -113,8 +113,8 @@ def _solve(supply, demand, cost, max_iterations, library):
     m, n = cost.shape
     if supply.shape != (m,) or demand.shape != (n,):
         raise ValueError("supply/demand shapes do not match the cost matrix")
-    if not (np.isfinite(supply).all() and np.isfinite(demand).all()
-            and np.isfinite(cost).all()):
+    scale = float(np.abs(cost).max())
+    if not (np.isfinite(supply).all() and np.isfinite(demand).all() and np.isfinite(scale)):
         raise ValueError("supply, demand and cost entries must be finite")
     if (supply <= 0).any() or (demand <= 0).any():
         raise ValueError("supply and demand masses must be strictly positive")
@@ -129,7 +129,7 @@ def _solve(supply, demand, cost, max_iterations, library):
 
     # Reduced costs below -tol trigger a pivot; relative to the cost scale
     # so exactness does not degrade for very small or very large costs.
-    tol = 1e-12 * float(np.abs(cost).max())
+    tol = 1e-12 * scale
     order = np.argsort(cost, axis=None, kind="stable")
     if library is None:
         tree = _reference_basis(supply, demand, cost, order, tol, max_iterations)
@@ -298,7 +298,8 @@ def _library():
     that cannot be written), and the solver then runs in Python.
 
     The file name hashes the source and the compile command, so an edit to
-    either builds a new library. Each build writes a temporary file and
+    either builds a new library, which then removes every other
+    ``_simplex-*.so`` in the cache. Each build writes a temporary file and
     renames it into place, so no process loads a half-written library.
     """
     try:
@@ -316,6 +317,8 @@ def _library():
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
+            for stale in set(_CACHE.glob("_simplex-*.so")) - {path}:
+                stale.unlink(missing_ok=True)
         library = ctypes.CDLL(str(path))
     except (OSError, subprocess.CalledProcessError):
         return None

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from synvec import transport
+from synvec import eval_extrinsic, transport
 from synvec.errors import ParseError
 from synvec.eval_extrinsic import (
     NBowDocument,
@@ -521,6 +521,33 @@ class TestKNN:
             for prune in (False, True):
                 got = _k_nearest(model, doc, train, 5, prune, skip_index=skip)
                 assert [(d.hex(), i) for d, i in got] == [(d.hex(), i) for d, i in reference]
+
+    def test_search_is_ordered_and_stopped_by_rwmd(self, monkeypatch):
+        # The decoy holds a + e and a - e at half weight each: its centroid
+        # is a, so its wcd to the one-word probe a is 0, while its wmd and
+        # rwmd are |e| = 1. The k one-word candidates lie nearer than that,
+        # so visiting by rwmd solves exactly those k and stops at the decoy;
+        # visiting by wcd would solve the decoy first.
+        a, e = np.array([0.0, 0.0]), np.array([1.0, 0.0])
+        near = [[0.0, 0.3], [0.0, 0.5], [0.0, 0.7]]
+        model = model_from_matrix([a, a + e, a - e, *near, [0.0, 2.0], [0.0, 3.0]])
+        k = len(near)
+        train = [NBowDocument(ids=[6], weights=[1.0]),
+                 NBowDocument(ids=[1, 2], weights=[0.5, 0.5]),
+                 *(NBowDocument(ids=[3 + j], weights=[1.0]) for j in range(k)),
+                 NBowDocument(ids=[7], weights=[1.0])]
+        probe = NBowDocument(ids=[0], weights=[1.0])
+        assert wcd(model, probe, train[1]) == 0.0
+        assert rwmd(model, probe, train[1]) == wmd(model, probe, train[1])[0] == 1.0
+
+        solves = []
+        monkeypatch.setattr(eval_extrinsic, "wmd",
+                            lambda *args, **kwargs: solves.append(1) or wmd(*args, **kwargs))
+        got = _k_nearest(model, probe, train, k, True)
+        assert len(solves) == k
+        reference = _k_nearest(model, probe, train, k, False)
+        assert [(d.hex(), i) for d, i in got] == [(d.hex(), i) for d, i in reference]
+        assert [i for _, i in got] == [2, 3, 4]
 
     def test_k_of_one_requires_positive_train_set(self):
         model, docs = self.make_instance(4, seed=25)

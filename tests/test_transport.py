@@ -66,6 +66,22 @@ def test_solver_falls_back_to_python_when_the_cache_cannot_be_written(reloaded, 
     assert transport._library() is None
 
 
+def test_a_new_build_removes_the_stale_libraries_only(reloaded, tmp_path):
+    if shutil.which(transport._COMPILE[0]) is None:
+        pytest.skip(f"{transport._COMPILE[0]} is not on PATH; the solver runs in Python")
+    reloaded.setattr(transport, "_CACHE", tmp_path)
+    others = ["notes.txt", "transport.cpython-311.pyc", "_simplex-building.tmp"]
+    for name in others:
+        (tmp_path / name).write_text("")
+    libraries = []
+    for compile_command in (transport._COMPILE, (*transport._COMPILE, "-g")):
+        reloaded.setattr(transport, "_COMPILE", compile_command)
+        transport._library.cache_clear()
+        libraries.append(Path(transport._library()._name).name)
+    assert libraries[0] != libraries[1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([libraries[1], *others])
+
+
 def test_iteration_cap_is_taken_as_on_the_reference_path():
     # Two pivots from the start, so three passes (see test_solver_error_surfaces).
     problem = np.full(5, 0.2), np.full(5, 0.2), np.random.default_rng(40).random((5, 5))
@@ -124,11 +140,12 @@ def test_k_nearest_on_benchmark_inputs_matches_the_reference(seed, tmp_path, mon
     split = eval_extrinsic.read_split_manifest(paths["split"])
     loaded = eval_extrinsic.load_classification_corpus(paths["docs"], vocab, split=split)
 
-    def neighbours():
+    def neighbours(prune=True):
         return [[(d.hex(), i) for d, i in eval_extrinsic._k_nearest(model, doc, loaded.train,
-                                                                     10, True)]
+                                                                     10, prune)]
                 for doc in loaded.test]
 
     native = neighbours()
+    assert neighbours(prune=False) == native
     monkeypatch.setattr(eval_extrinsic, "solve_transport", transport._solve_reference)
     assert neighbours() == native
