@@ -220,8 +220,8 @@ def cmd_augment(p):
     vocab = corpus.read_vocab(p.vocab)
     lex = lexicon_mod.load_lexicon(p.lexicon)
     natural, meta = pairgen.read_pairs(p.pairs)
-    if natural.n_augmented:
-        natural = natural.subset(~natural.augmented)
+    if "ratio" in meta:  # a mix is shuffled, so its runs of one focus are not occurrences
+        raise ValueError(f"{p.pairs}: augment reads natural pairs, not a mix augment wrote")
     pool, substitutions = augment.generate_augmented_pairs(
         natural, lex, vocab, derived_rng(p.seed, "augment.synonyms")
     )
@@ -343,7 +343,11 @@ def cmd_eval_pairsets(p):
 def cmd_eval_wmd(p):
     model, vocab = _load_model(p.model)
     split = eval_extrinsic.read_split_manifest(p.split) if p.split else None
-    loaded = eval_extrinsic.load_classification_corpus(p.docs, vocab, split=split)
+    try:
+        loaded = eval_extrinsic.load_classification_corpus(p.docs, vocab, split=split)
+    except KeyError as exc:
+        raise ValueError(f"{p.split} lists {exc.args[0]}, which is not a <class>/<doc> "
+                         f"file under {p.docs}") from None
     test_docs = loaded.train if split is None else loaded.test
     if not test_docs:
         raise ValueError(

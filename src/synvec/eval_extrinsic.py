@@ -270,25 +270,27 @@ def load_classification_corpus(
     vocab: Vocabulary,
     split: dict[str, str] | None = None,
 ) -> ClassificationCorpus:
-    """Read one-file-per-document class directories into nBOW form."""
+    """Read one-file-per-document class directories into nBOW form. A split key
+    that names no `<class>/<doc>` file raises KeyError before any is read."""
     root = Path(root)
+    paths = {f"{class_dir.name}/{doc_path.name}": doc_path
+             for class_dir in sorted(p for p in root.iterdir() if p.is_dir())
+             for doc_path in sorted(p for p in class_dir.iterdir() if p.is_file())}
+    if split is not None and not split.keys() <= paths.keys():
+        raise KeyError(next(doc_key for doc_key in split if doc_key not in paths))
     corpus = ClassificationCorpus()
-    for class_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        for doc_path in sorted(p for p in class_dir.iterdir() if p.is_file()):
-            doc_key = f"{class_dir.name}/{doc_path.name}"
-            destination = "train"
-            if split is not None:
-                destination = split.get(doc_key)
-                if destination is None:
-                    corpus.unassigned += 1
-                    continue
-            with fileio.open_text(doc_path, newline="") as f:
-                text = f.read()
-            tokens = [t for sentence in tokenize(text) for t in sentence]
-            try:
-                doc = nbow(tokens, vocab, label=class_dir.name, doc_id=doc_key)
-            except ValueError:
-                corpus.skipped += 1
-                continue
-            getattr(corpus, destination).append(doc)
+    for doc_key, doc_path in paths.items():
+        destination = "train" if split is None else split.get(doc_key)
+        if destination is None:
+            corpus.unassigned += 1
+            continue
+        with fileio.open_text(doc_path, newline="") as f:
+            text = f.read()
+        tokens = [t for sentence in tokenize(text) for t in sentence]
+        try:
+            doc = nbow(tokens, vocab, label=doc_path.parent.name, doc_id=doc_key)
+        except ValueError:
+            corpus.skipped += 1
+            continue
+        getattr(corpus, destination).append(doc)
     return corpus

@@ -50,22 +50,16 @@ class PairSet:
 
 def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
     """1 - cos(u, v), in [0, 2]. Zero vectors have no direction and raise."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    nu = np.sqrt(u @ u)
-    nv = np.sqrt(v @ v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine distance is undefined for a zero vector")
-    return float(1.0 - (u @ v) / (nu * nv))
+    return float(_cosine_distances(np.reshape(u, (1, -1)), np.reshape(v, (1, -1)))[0])
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product of row i of `a` with row i of `b`, with the bits of `u @ v`."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    """Dot products along the last axis by numpy's pairwise sum: no BLAS, whose bits vary by CPU."""
+    return np.sum(a * b, axis=-1)
 
 
 def _cosine_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`cosine_distance` of row i of `a` to row i of `b`, bit for bit."""
+    """1 - cos of row i of `a` and row i of `b`. Zero rows raise."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     na = np.sqrt(_row_dots(a, a))
@@ -95,7 +89,7 @@ def spearman_rho(xs, ys) -> float:
         raise ValueError("correlation is undefined for constant input")
     rx = _average_ranks(xs) - (len(xs) + 1) / 2.0
     ry = _average_ranks(ys) - (len(ys) + 1) / 2.0
-    return float((rx @ ry) / np.sqrt((rx @ rx) * (ry @ ry)))
+    return float(_row_dots(rx, ry) / np.sqrt(_row_dots(rx, rx) * _row_dots(ry, ry)))
 
 
 def similarity_correlation(

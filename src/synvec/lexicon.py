@@ -42,7 +42,7 @@ class SynonymLexicon:
 
 
 def _is_multi_token(word: str) -> bool:
-    return " " in word or "_" in word or not word
+    return " " in word or "_" in word
 
 
 def load_lexicon(path: str | Path) -> SynonymLexicon:
@@ -56,8 +56,6 @@ def load_lexicon(path: str | Path) -> SynonymLexicon:
             word, pos, synonym = (x.strip().lower() for x in fields)
             if pos not in POS_TAGS:
                 raise ParseError(path, lineno, f"unknown POS tag {pos!r}")
-            if not word:
-                raise ParseError(path, lineno, "empty word field")
             if _is_multi_token(word) or _is_multi_token(synonym) or word == synonym:
                 dropped += 1
                 continue

@@ -153,9 +153,13 @@ def init_pretrained(
 
 
 def noise_distribution(vocab: Vocabulary, alpha: float = 0.75) -> NoiseDistribution:
-    """P(w) proportional to count(w)**alpha."""
-    weights = vocab.counts.astype(np.float64) ** alpha
-    return NoiseDistribution(probabilities=weights / weights.sum())
+    """P(w) proportional to count(w)**alpha; an alpha that leaves no distribution raises."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+        weights = vocab.counts.astype(np.float64) ** alpha
+        total = weights.sum()
+    if not 0 < total < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"noise exponent {alpha} leaves no distribution: weights sum to {total}")
+    return NoiseDistribution(probabilities=weights / total)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -271,13 +275,8 @@ def _add_rounds(matrix: np.ndarray, rounds: _Rounds, i: int, updates: np.ndarray
     over the batch, so the bits are those of numpy's unbuffered ufunc
     ``at`` method, without its per-element cost.
     """
-    first, last = rounds.first[i], rounds.first[i + 1]
-    bounds = rounds.bounds
-    if last - first == 1:                   # distinct rows, positions in order
-        matrix[rounds.rows[bounds[first]:bounds[last]]] += updates
-        return
-    for r in range(first, last):
-        lo, hi = bounds[r], bounds[r + 1]
+    for r in range(rounds.first[i], rounds.first[i + 1]):
+        lo, hi = rounds.bounds[r], rounds.bounds[r + 1]
         matrix[rounds.rows[lo:hi]] += updates[rounds.positions[lo:hi]]
 
 

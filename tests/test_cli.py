@@ -313,6 +313,12 @@ class TestPipeline:
         capsys.readouterr()
         assert run(args + [d / "none.csv"]) == 1
         err = capsys.readouterr().err
+        assert f"{split} lists boats/d9.txt, which is not a <class>/<doc> file under {docs}" in err
+        assert not (d / "none.csv").exists()
+        # Without that line, no line is a test line.
+        split.write_text("gems/d0.txt\ttrain\nboats/d0.txt\ttrain\n")
+        assert run(args + [d / "none.csv"]) == 1
+        err = capsys.readouterr().err
         assert str(split) in err
         assert "2 train, 0 test, 0 skipped and 2 unassigned" in err
         assert not (d / "none.csv").exists()
@@ -436,6 +442,22 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "ratio 0.37, 0.5, 0.64 out of reach" in out
         assert "maximum achievable ratio is 0." in out
+
+    def test_augment_refuses_a_mix(self, pipeline_dir, capsys):
+        """A mix is shuffled, so its runs of one focus id are not occurrences:
+        augment refuses a pair file that augment wrote, even at ratio 0."""
+        d = pipeline_dir
+        prepare(d, model=False)
+        argv = ["augment", "--vocab", d / "vocab.tsv", "--lexicon", d / "syn.tsv", "--seed", "7"]
+        assert run(argv + ["--pairs", d / "pairs.txt", "--ratio", "0,0.25",
+                           "--out", d / "mixed.txt"]) == 0
+        for mixed in ("mixed_r0.txt", "mixed_r0.25.txt"):
+            capsys.readouterr()
+            assert run(argv + ["--pairs", d / mixed, "--ratio", "0.1",
+                               "--out", d / "again.txt"]) == 1
+            err = capsys.readouterr().err
+            assert f"synvec augment: error: {d / mixed}: augment reads natural pairs" in err
+            assert not list(d.glob("again.txt*"))
 
     def test_one_ratio_and_a_sweep_share_one_path(self, pipeline_dir):
         """A ratio's pair file is the same alone or in a sweep, and a sweep

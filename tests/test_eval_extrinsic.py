@@ -612,6 +612,9 @@ class TestCorpusLoading:
         assert [d.doc_id for d in corpus.train] == ["music/d1.txt", "sport/d1.txt"]
         assert [d.doc_id for d in corpus.test] == ["sport/d2.txt"]
         assert corpus.unassigned == 1  # music/d2.txt not in the manifest
+        split["music/d9.txt"] = "test"
+        with pytest.raises(KeyError, match="music/d9.txt"):
+            load_classification_corpus(tmp_path, vocab, split=split)
 
     def test_manifest_errors_name_path_and_line(self, tmp_path):
         manifest = tmp_path / "split.tsv"

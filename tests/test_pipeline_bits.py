@@ -7,14 +7,22 @@ the commands write, manifests included, must hash to the SHA-256 recorded
 in `pipeline_bits.json`. A change that alters any output byte shows here,
 and must re-record the file (`PYTHONPATH=src python tests/test_pipeline_bits.py`)
 and say why. The pins were recorded with numpy 2.4.6.
+
+The pins must not depend on which BLAS kernel the CPU selects, so one seed
+also runs in a child process under each OpenBLAS core type this CPU can
+execute.
 """
 
 import hashlib
 import json
 import os
+import platform
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from synvec.cli import main
@@ -76,6 +84,24 @@ def run_pipeline(seed: int) -> dict[str, str]:
 def test_pipeline_outputs_are_pinned(tmp_path, monkeypatch, capsys, seed):
     monkeypatch.chdir(tmp_path)  # relative paths keep the manifests free of the temp dir
     assert run_pipeline(seed) == json.loads(PIPELINE_BITS.read_text())[str(seed)]
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OpenBLAS core types are x86-64 kernels")
+def test_pins_hold_under_other_blas_kernels(tmp_path):
+    cores = ["Prescott"]
+    if np._core._multiarray_umath.__cpu_features__["AVX2"]:  # else Haswell code would crash
+        cores.append("Haswell")
+    child = ("import json, sys; from test_pipeline_bits import run_pipeline; "
+             "print(json.dumps(run_pipeline(1)))")
+    for core in cores:
+        env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=os.pathsep.join(sys.path))
+        (tmp_path / core).mkdir()
+        done = subprocess.run([sys.executable, "-c", child], cwd=tmp_path / core, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        hashes = json.loads(done.stdout.splitlines()[-1])  # after the commands' own lines
+        assert hashes == json.loads(PIPELINE_BITS.read_text())["1"], core
 
 
 def record() -> None:

@@ -144,6 +144,19 @@ class TestNoiseDistribution:
         noise = noise_distribution(vocab, alpha=1.0)
         assert noise.probabilities[vocab.id("a")] == pytest.approx(0.75)
 
+    @pytest.mark.parametrize("alpha", [1000.0, np.inf, np.nan])
+    def test_exponent_without_a_distribution_is_refused(self, alpha):
+        """Counts raised to the exponent overflow or turn NaN: refused by name,
+        before numpy can warn."""
+        vocab = make_vocab({"a": 3, "b": 1})
+        with pytest.raises(ValueError, match=f"noise exponent {alpha} leaves no distribution"):
+            noise_distribution(vocab, alpha=alpha)
+
+    def test_large_negative_exponent_keeps_the_rarest_words(self):
+        vocab = make_vocab({"a": 3, "b": 1, "c": 1})
+        noise = noise_distribution(vocab, alpha=-1000.0)
+        assert noise.probabilities[[vocab.id(w) for w in "abc"]].tolist() == [0.0, 0.5, 0.5]
+
     def test_sums_to_one(self):
         vocab = make_vocab({f"w{i}": i + 1 for i in range(60)})
         noise = noise_distribution(vocab)
