@@ -4,6 +4,10 @@
    and fallback, and its module docstring describes the algorithm. This
    file repeats every float operation of that code in the same order, so
    both give the same bits:
+   - the start visits the cells in the order of numpy's
+     argsort(cost, axis=None, kind="stable"): a stable order is unique,
+     by cost and then by flat index, so the radix sort here repeats it
+     (-0.0 and +0.0 compare equal in both);
    - a cell is priced as (cost[i, j] - u[i]) - v[j], and the entering cell
      is the first strict minimum in row-major order, as numpy's argmin
      picks it (a NaN, which only an overflow could make, wins at once);
@@ -15,12 +19,13 @@
    Build with -ffp-contract=off, so that no subtraction is fused.
 
    The caller (transport._native_basis) passes C-contiguous arrays: float64
-   supply (m), demand (n) and cost (m x n), int64 order (m * n, the cells
-   sorted stably by cost), and int64 parent and float64 up_flow (m + n) to
-   fill. Nodes are rows 0..m-1, then columns m..m+n-1. */
+   supply (m), demand (n) and cost (m x n), and int64 parent and float64
+   up_flow (m + n) to fill. Nodes are rows 0..m-1, then columns
+   m..m+n-1. */
 
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 struct tree {
     int64_t m, n;
@@ -96,6 +101,47 @@ static void hang(struct tree *t, int64_t node, int64_t up, double flow)
     }
 }
 
+/* The flat indices 0..cells-1 sorted stably by cost, by an LSD radix sort
+   of one byte a pass over keys that order as the costs do: the bits of
+   cost + 0.0 (which turns -0.0 into +0.0), with every bit flipped for a
+   negative cost and the sign bit for any other. Each pass is stable, so
+   equal costs keep their index order. Works in the 4 * cells entries of
+   buffer and returns the part that holds the result. */
+static int64_t *cells_by_cost(const double *cost, int64_t cells, int64_t *buffer)
+{
+    uint64_t *key = (uint64_t *)buffer, *key_out = key + cells;
+    int64_t *index = buffer + 2 * cells, *index_out = buffer + 3 * cells;
+    int64_t count[8][257] = {{0}};
+    for (int64_t k = 0; k < cells; k++) {
+        double c = cost[k] + 0.0;
+        uint64_t bits;
+        memcpy(&bits, &c, sizeof bits);
+        key[k] = bits ^ (bits >> 63 ? ~(uint64_t)0 : (uint64_t)1 << 63);
+        index[k] = k;
+        for (int byte = 0; byte < 8; byte++)
+            count[byte][(key[k] >> 8 * byte & 255) + 1]++;
+    }
+    for (int byte = 0; byte < 8; byte++) {
+        int64_t *start = count[byte];
+        if (start[(key[0] >> 8 * byte & 255) + 1] == cells)
+            continue;  /* every key has this byte: the pass would keep the order */
+        for (int digit = 0; digit < 256; digit++)
+            start[digit + 1] += start[digit];
+        for (int64_t k = 0; k < cells; k++) {
+            int64_t to = start[key[k] >> 8 * byte & 255]++;
+            key_out[to] = key[k];
+            index_out[to] = index[k];
+        }
+        uint64_t *swap_key = key;
+        key = key_out;
+        key_out = swap_key;
+        int64_t *swap_index = index;
+        index = index_out;
+        index_out = swap_index;
+    }
+    return index;
+}
+
 static void least_cost_start(struct tree *t, const double *supply, const double *demand,
                              const int64_t *order, double *a, double *b)
 {
@@ -150,15 +196,17 @@ static void least_cost_start(struct tree *t, const double *supply, const double 
 /* Returns 0 at an optimum, 1 when max_passes passes found none, -1 when
    out of memory. */
 int synvec_transport_basis(int64_t m, int64_t n, const double *supply, const double *demand,
-                           const double *cost, const int64_t *order, double tol,
-                           int64_t max_passes, int64_t *parent, double *up_flow)
+                           const double *cost, double tol, int64_t max_passes,
+                           int64_t *parent, double *up_flow)
 {
     int64_t nodes = m + n;
     int64_t *ints = malloc(15 * nodes * sizeof *ints);
     double *reals = malloc(6 * nodes * sizeof *reals);
-    if (ints == NULL || reals == NULL) {
+    int64_t *sorted = malloc(4 * m * n * sizeof *sorted);
+    if (ints == NULL || reals == NULL || sorted == NULL) {
         free(ints);
         free(reals);
+        free(sorted);
         return -1;
     }
     struct tree t = {
@@ -172,7 +220,9 @@ int synvec_transport_basis(int64_t m, int64_t n, const double *supply, const dou
     };
     int64_t *from_row = ints + 12 * nodes, *from_col = ints + 13 * nodes;
     int64_t *losers = ints + 14 * nodes;
-    least_cost_start(&t, supply, demand, order, reals + 4 * nodes, reals + 5 * nodes);
+    least_cost_start(&t, supply, demand, cells_by_cost(cost, m * n, sorted),
+                     reals + 4 * nodes, reals + 5 * nodes);
+    free(sorted);
 
     int status = 1;
     for (int64_t pass = 0; pass < max_passes; pass++) {

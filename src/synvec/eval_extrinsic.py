@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import fileio
+from . import _native, fileio
 from .corpus import Vocabulary, tokenize
 from .errors import ParseError
 from .sgns import EmbeddingModel
@@ -70,9 +70,27 @@ def _pairwise_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Explicit differences, not the |a|^2+|b|^2-2ab expansion: the latter
     cancels catastrophically near zero distance (identical words would
-    get cost ~1e-8 instead of 0). One row of a at a time goes through one
-    reused (len(b), d) buffer; every entry is the same subtract, square,
-    sum over d and sqrt.
+    get cost ~1e-8 instead of 0). Two float64 matrices go through the C
+    kernel of ``_ground_cost.c``, which repeats the bits of
+    ``_pairwise_cost_reference``; that runs for any other input (a float32
+    model computes in float32) and when the library cannot be built.
+    """
+    library = _native._library()
+    if library is None or not (a.dtype == b.dtype == np.float64 and a.ndim == b.ndim == 2
+                               and a.shape[1] == b.shape[1]):
+        return _pairwise_cost_reference(a, b)
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    out = np.empty((len(a), len(b)))
+    library.synvec_pairwise_cost(len(a), len(b), a.shape[1], a.ctypes.data, b.ctypes.data,
+                                 out.ctypes.data)
+    return out
+
+
+def _pairwise_cost_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_pairwise_cost`` in numpy, whether or not the C library loaded: the
+    reference that tests compare the kernel with. One row of a at a time
+    goes through one reused (len(b), d) buffer; every entry is the same
+    subtract, square, sum over d and sqrt.
     """
     out = np.empty((len(a), len(b)))
     diff = np.empty(b.shape)

@@ -42,26 +42,21 @@ row 0 gets no flow, the first row that has some is the root.
 Supplies, demands and costs must be finite. The solver either returns an
 exact optimum or raises; it never silently returns a suboptimal plan.
 
-The start and the pivot loop run in C (``_simplex.c``, built on first use
-into the package's ``__pycache__``, see ``_library``), with the same float
-operations in the same order as the Python loop here, ``_reference_basis``.
-That runs when the library cannot be built or loaded, and tests compare the
-two through ``_solve_reference``. The sort of the cells, the checks, the
+The sort of the cells, the start and the pivot loop run in C
+(``_simplex.c``, built on first use by ``_native._library``), with the same
+float operations in the same order as the Python loop here,
+``_reference_basis``. That runs when the library cannot be built or loaded,
+and tests compare the two through ``_solve_reference``. The checks, the
 flow matrix and its total are numpy on both paths.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import hashlib
 import operator
-import os
-import subprocess
-import tempfile
-from pathlib import Path
 
 import numpy as np
+
+from . import _native
 
 
 class TransportSolverError(RuntimeError):
@@ -92,7 +87,7 @@ def solve_transport(
     (flow, total_cost) where flow is an (m, n) matrix whose row sums equal
     ``supply`` and column sums equal ``demand``.
     """
-    return _solve(supply, demand, cost, max_iterations, _library())
+    return _solve(supply, demand, cost, max_iterations, _native._library())
 
 
 def _solve_reference(supply, demand, cost, max_iterations=None):
@@ -130,11 +125,10 @@ def _solve(supply, demand, cost, max_iterations, library):
     # Reduced costs below -tol trigger a pivot; relative to the cost scale
     # so exactness does not degrade for very small or very large costs.
     tol = 1e-12 * scale
-    order = np.argsort(cost, axis=None, kind="stable")
     if library is None:
-        tree = _reference_basis(supply, demand, cost, order, tol, max_iterations)
+        tree = _reference_basis(supply, demand, cost, tol, max_iterations)
     else:
-        tree = _native_basis(library, supply, demand, cost, order, tol, max_iterations)
+        tree = _native_basis(library, supply, demand, cost, tol, max_iterations)
     if tree is None:
         raise TransportSolverError(
             f"no convergence after {max_iterations} iterations on a {m}x{n} problem"
@@ -148,12 +142,12 @@ def _solve(supply, demand, cost, max_iterations, library):
     return flow, float((flow * cost).sum())
 
 
-def _reference_basis(supply, demand, cost, order, tol, max_iterations):
+def _reference_basis(supply, demand, cost, tol, max_iterations):
     """The least-cost start and the pivot loop in Python: the optimal
     basis tree as (up_flow, parent) lists over the nodes (rows 0..m-1,
     then columns), or None after ``max_iterations`` passes without one."""
     m, n = cost.shape
-    up_flow, parent, depth, children, pot = _least_cost_start(supply, demand, cost, order)
+    up_flow, parent, depth, children, pot = _least_cost_start(supply, demand, cost)
 
     reduced = np.empty((m, n))  # (cost_ij - u_i) - v_j, priced in place each pass
     for _ in range(max_iterations):
@@ -207,10 +201,10 @@ def _reference_basis(supply, demand, cost, order, tol, max_iterations):
     return None
 
 
-def _least_cost_start(supply, demand, cost, order):
+def _least_cost_start(supply, demand, cost):
     """Least-cost rule and a strongly feasible basis tree over its flows.
 
-    Cells are visited in ``order``, their flat indices sorted stably by
+    Cells are visited in the order of their flat indices sorted stably by
     cost. Nodes are rows 0..m-1, then columns m..m+n-1. Returns, per node,
     the flow on the cell joining it to its parent, the parent, depth and
     child lists, and potentials: 0 at the root, u_i + v_j = cost[i, j] on
@@ -222,6 +216,7 @@ def _least_cost_start(supply, demand, cost, order):
     b = demand.tolist()
     neighbours = [[] for _ in range(m + n)]
     rows_left, cols_left = m, n
+    order = np.argsort(cost, axis=None, kind="stable")
     for i, j in zip(*(x.tolist() for x in np.divmod(order, n))):
         if a[i] and b[j]:  # both still have mass; none ever falls below 0
             t = min(a[i], b[j])
@@ -283,64 +278,17 @@ def _paths_to_common_ancestor(parent, depth, a, b):
     return from_a, from_b
 
 
-_SOURCE = Path(__file__).with_name("_simplex.c")
-# The library is built here, in the package's own cache, and loaded only
-# from here: a directory that others can write would let them run code.
-_CACHE = Path(__file__).with_name("__pycache__")
-# -ffp-contract=off: no fused multiply-add, so every operation rounds as numpy's.
-_COMPILE = ("gcc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
-
-
-@functools.cache
-def _library():
-    """The C start and pivot loop of ``_simplex.c``, built on first use, or
-    None when it cannot be built or loaded (no compiler, a cache directory
-    that cannot be written), and the solver then runs in Python.
-
-    The file name hashes the source and the compile command, so an edit to
-    either builds a new library, which then removes every other
-    ``_simplex-*.so`` in the cache. Each build writes a temporary file and
-    renames it into place, so no process loads a half-written library.
-    """
-    try:
-        key = b"\0".join([_SOURCE.read_bytes(), *(word.encode() for word in _COMPILE)])
-        path = _CACHE / f"_simplex-{hashlib.sha256(key).hexdigest()}.so"
-        if not path.exists():
-            _CACHE.mkdir(exist_ok=True)
-            fd, tmp = tempfile.mkstemp(prefix="_simplex-", suffix=".tmp", dir=_CACHE)
-            os.close(fd)
-            try:
-                subprocess.run([*_COMPILE, "-o", tmp, str(_SOURCE)], check=True,
-                               capture_output=True)
-                os.chmod(tmp, 0o755)  # mkstemp's 0600 would hide it from other users
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-            for stale in set(_CACHE.glob("_simplex-*.so")) - {path}:
-                stale.unlink(missing_ok=True)
-        library = ctypes.CDLL(str(path))
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    function = library.synvec_transport_basis
-    function.argtypes = [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 4 + [
-        ctypes.c_double, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
-    function.restype = ctypes.c_int
-    return library
-
-
-def _native_basis(library, supply, demand, cost, order, tol, max_iterations):
+def _native_basis(library, supply, demand, cost, tol, max_iterations):
     """``_reference_basis`` through the C library."""
     m, n = cost.shape
     supply, demand, cost = (np.ascontiguousarray(x) for x in (supply, demand, cost))
-    order = np.ascontiguousarray(order, dtype=np.int64)
     parent = np.empty(m + n, dtype=np.int64)
     up_flow = np.empty(m + n)
     # A cap past int64 is never reached: no solve makes 2**63 passes.
     passes = min(max_iterations, np.iinfo(np.int64).max)
     status = library.synvec_transport_basis(
-        m, n, supply.ctypes.data, demand.ctypes.data, cost.ctypes.data, order.ctypes.data,
-        tol, passes, parent.ctypes.data, up_flow.ctypes.data)
+        m, n, supply.ctypes.data, demand.ctypes.data, cost.ctypes.data, tol, passes,
+        parent.ctypes.data, up_flow.ctypes.data)
     if status < 0:
         raise MemoryError(f"transport solver could not allocate for a {m}x{n} problem")
     return (up_flow, parent) if status == 0 else None

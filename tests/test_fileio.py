@@ -167,8 +167,8 @@ def _reads_outside_file_layer(path: Path) -> list[tuple[str, str]]:
 
 
 # word2vec binary holds raw float bytes; its per-word decode raises its own
-# ParseError. The solver hashes its own C source's bytes to name its library.
-BINARY_READERS = {("embed_io.py", "read_binary"), ("transport.py", "_library")}
+# ParseError. The native layer hashes its C sources' bytes to name its library.
+BINARY_READERS = {("embed_io.py", "read_binary"), ("_native.py", "_library")}
 
 
 def test_every_text_read_goes_through_the_file_layer():

@@ -1,6 +1,7 @@
-"""The transport solver's C loop: it builds where a compiler is installed,
-loads only from the package's own cache, gives the bits of the Python
-reference, and the solver falls back to Python when it cannot be built."""
+"""The native library and the transport solver's C loop: the library builds
+where a compiler is installed and loads only from the package's own cache,
+the C loop gives the bits of the Python reference, and the solver and the
+ground cost fall back to their references when it cannot be built."""
 
 import importlib.util
 import shutil
@@ -10,10 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from synvec import corpus, embed_io, eval_extrinsic, sgns, transport
+from synvec import _native, corpus, embed_io, eval_extrinsic, sgns, transport
 from synvec.transport import TransportSolverError, solve_transport
 
 from test_eval_extrinsic import SOLVERS, lattice_problems, transport_instances
+from test_native import rows, same_cost_bits
 
 INPUTS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
 
@@ -28,22 +30,22 @@ def same_bits(problem, **kwargs):
 def reloaded(monkeypatch):
     """Forget the loaded library before and after the test, so that the
     test loads it under its own patches and later tests without them."""
-    transport._library.cache_clear()
+    _native._library.cache_clear()
     yield monkeypatch
-    transport._library.cache_clear()
+    _native._library.cache_clear()
 
 
 def test_c_loop_loads_where_the_compiler_is():
     # A silent fallback would leave the C path untested.
-    if shutil.which(transport._COMPILE[0]) is None:
-        pytest.skip(f"{transport._COMPILE[0]} is not on PATH; the solver runs in Python")
-    assert transport._library() is not None
+    if shutil.which(_native._COMPILE[0]) is None:
+        pytest.skip(f"{_native._COMPILE[0]} is not on PATH; the solver runs in Python")
+    assert _native._library() is not None
 
 
 def test_c_loop_loads_only_from_the_package_cache():
-    cache = Path(transport.__file__).parent / "__pycache__"
-    assert transport._CACHE == cache
-    library = transport._library()
+    cache = Path(_native.__file__).parent / "__pycache__"
+    assert _native._CACHE == cache
+    library = _native._library()
     if library is None:
         pytest.skip("the C loop did not build; the solver runs in Python")
     assert Path(library._name).parent == cache
@@ -52,32 +54,37 @@ def test_c_loop_loads_only_from_the_package_cache():
 @pytest.mark.parametrize("compile_command", [("synvec-no-such-compiler", "-O2"), ("false",)],
                          ids=["missing", "failing"])
 def test_solver_falls_back_to_python_without_a_build(reloaded, tmp_path, compile_command):
-    reloaded.setattr(transport, "_CACHE", tmp_path)
-    reloaded.setattr(transport, "_COMPILE", compile_command)
+    reloaded.setattr(_native, "_CACHE", tmp_path)
+    reloaded.setattr(_native, "_COMPILE", compile_command)
     assert all(same_bits(problem) for problem in transport_instances(count=8))
-    assert transport._library() is None
+    rng = np.random.default_rng(0)
+    assert same_cost_bits(rows(rng, 7, 300), rows(rng, 60, 300))
+    assert _native._library() is None
     assert list(tmp_path.iterdir()) == []  # no half-written library left
 
 
 def test_solver_falls_back_to_python_when_the_cache_cannot_be_written(reloaded, tmp_path):
     (tmp_path / "file").write_text("")
-    reloaded.setattr(transport, "_CACHE", tmp_path / "file" / "__pycache__")
+    reloaded.setattr(_native, "_CACHE", tmp_path / "file" / "__pycache__")
     assert all(same_bits(problem) for problem in transport_instances(count=8))
-    assert transport._library() is None
+    rng = np.random.default_rng(0)
+    assert same_cost_bits(rows(rng, 7, 300), rows(rng, 60, 300))
+    assert _native._library() is None
 
 
 def test_a_new_build_removes_the_stale_libraries_only(reloaded, tmp_path):
-    if shutil.which(transport._COMPILE[0]) is None:
-        pytest.skip(f"{transport._COMPILE[0]} is not on PATH; the solver runs in Python")
-    reloaded.setattr(transport, "_CACHE", tmp_path)
-    others = ["notes.txt", "transport.cpython-311.pyc", "_simplex-building.tmp"]
+    if shutil.which(_native._COMPILE[0]) is None:
+        pytest.skip(f"{_native._COMPILE[0]} is not on PATH; the solver runs in Python")
+    reloaded.setattr(_native, "_CACHE", tmp_path)
+    others = ["notes.txt", "transport.cpython-311.pyc", "_native-building.tmp", "_simplex.c"]
     for name in others:
         (tmp_path / name).write_text("")
+    (tmp_path / "_simplex-0123.so").write_text("")  # a library of an older version
     libraries = []
-    for compile_command in (transport._COMPILE, (*transport._COMPILE, "-g")):
-        reloaded.setattr(transport, "_COMPILE", compile_command)
-        transport._library.cache_clear()
-        libraries.append(Path(transport._library()._name).name)
+    for compile_command in (_native._COMPILE, (*_native._COMPILE, "-g")):
+        reloaded.setattr(_native, "_COMPILE", compile_command)
+        _native._library.cache_clear()
+        libraries.append(Path(_native._library()._name).name)
     assert libraries[0] != libraries[1]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([libraries[1], *others])
 
@@ -96,12 +103,14 @@ def test_iteration_cap_is_taken_as_on_the_reference_path():
 @st.composite
 def random_cost_problems(draw, max_size=14):
     """m x n problems, 1 <= m, n <= max_size, with costs drawn from a few
-    integers or from [0, 10], and uniform or random masses. Square shapes
+    integers, from -1, -0.0, +0.0 and 1 (equal costs with other bits), or
+    from [0, 10], and uniform or random masses. Square shapes
     with uniform masses empty a row and a column at once, so the start's
     positive cells fall apart and rows with no flow must be hung."""
     m = draw(st.integers(1, max_size))
     n = draw(st.one_of(st.just(m), st.integers(1, max_size)))
-    entry = draw(st.sampled_from([st.integers(0, 2).map(float), st.floats(0.0, 10.0)]))
+    entry = draw(st.sampled_from([st.integers(0, 2).map(float),
+                                  st.sampled_from([-1.0, -0.0, 0.0, 1.0]), st.floats(0.0, 10.0)]))
     cost = np.array(draw(st.lists(entry, min_size=m * n, max_size=m * n))).reshape(m, n)
     if draw(st.booleans()):
         return np.full(m, 1.0 / m), np.full(n, 1.0 / n), cost
@@ -111,12 +120,30 @@ def random_cost_problems(draw, max_size=14):
     return supply / supply.sum(), demand / demand.sum(), cost
 
 
+@st.composite
+def separable_cost_problems(draw, max_size=14):
+    """m x n problems whose cost is row[i] + col[j], from values with
+    negatives and both zeros: every plan costs the same, so the start is
+    returned as it is, and its flows show the order the cells were
+    visited in."""
+    m, n = draw(st.integers(1, max_size)), draw(st.integers(1, max_size))
+    value = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.5])
+    row = np.array(draw(st.lists(value, min_size=m, max_size=m)))
+    col = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    mass = st.floats(0.01, 1.0)
+    supply = np.array(draw(st.lists(mass, min_size=m, max_size=m)))
+    demand = np.array(draw(st.lists(mass, min_size=n, max_size=n)))
+    return supply / supply.sum(), demand / demand.sum(), row[:, None] + col[None, :]
+
+
 @settings(max_examples=300, deadline=None)
-@given(problem=st.one_of(lattice_problems(max_size=14), random_cost_problems()))
+@given(problem=st.one_of(lattice_problems(max_size=14), random_cost_problems(),
+                         separable_cost_problems()))
 def test_c_loop_gives_the_reference_bits(problem):
     # Pins the C loop to the reference's float operations and tie rules:
-    # pricing order, first strict minimum, theta, the leaving cell, the
-    # start's min on a tie and the column an orphan row hangs from.
+    # the sort of the cells against numpy's stable argsort, pricing order,
+    # first strict minimum, theta, the leaving cell, the start's min on a
+    # tie and the column an orphan row hangs from.
     assert same_bits(problem)
 
 
@@ -148,4 +175,5 @@ def test_k_nearest_on_benchmark_inputs_matches_the_reference(seed, tmp_path, mon
     native = neighbours()
     assert neighbours(prune=False) == native
     monkeypatch.setattr(eval_extrinsic, "solve_transport", transport._solve_reference)
+    monkeypatch.setattr(eval_extrinsic, "_pairwise_cost", eval_extrinsic._pairwise_cost_reference)
     assert neighbours() == native
